@@ -9,9 +9,10 @@ into every requires_grad leaf.
 The primitive set is what the attention network, loss, and optimizer
 compose: matmul, elementwise arithmetic, concat/narrow/gather/reshape,
 scatter-add and softmax over index segments, leaky_relu/relu, layer_norm,
-sqrt, where, and sum/mean reductions. All forward values are float64 and
-computed with numpy's deterministic kernels, so identical inputs give
-bit-identical outputs.
+sqrt, where, and sum/mean reductions. All forward values are float64.
+Identical inputs give bit-identical outputs only within one numpy build,
+BLAS kernel and BLAS thread count: matrix products round differently
+under another kernel or thread count.
 """
 
 from __future__ import annotations

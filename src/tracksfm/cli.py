@@ -2,9 +2,9 @@
 
 Every command resolves its inputs, performs one pipeline stage, and writes
 a run manifest (resolved config, seed, input hashes, artifact version,
-output paths, per-stage wall-clock timings) next to its outputs. Exit
-codes: 0 success, 2 validation error, 3 numeric failure, 4 bundle
-adjustment did not converge.
+output paths, per-stage wall-clock timings and, for `ba`, the LM
+diagnostics) next to its outputs. Exit codes: 0 success, 2 validation
+error, 3 numeric failure, 4 bundle adjustment did not converge.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ class RunManifest:
     artifact_version: str
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -248,6 +249,9 @@ def ba(scene_path, recon_path, huber, rounds, max_iters, out_dir):
     t0 = time.perf_counter()
     refined, diag = bundle_adjust(scene, recon, cfg)
     manifest.timings["bundle_adjustment"] = time.perf_counter() - t0
+    # strict JSON has no Infinity/NaN: a non-finite objective is written as null
+    manifest.diagnostics = {**asdict(diag), "objectives": [
+        [v if np.isfinite(v) else None for v in trace] for trace in diag.objectives]}
     out.mkdir(parents=True, exist_ok=True)
     refined_path = out / "reconstruction.json"
     save_reconstruction(refined, refined_path)

@@ -7,13 +7,12 @@ metrics (pixel reprojection, rotation degrees, translation distance).
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import Reconstruction
-from .rotations import matrix_to_quat, quat_multiply, quat_to_matrix
+from .rotations import matrix_to_quat, quat_multiply, quat_normalize, quat_to_matrix
 from .scene import EUCLIDEAN, PROJECTIVE, NormalizationRecord, Scene
 
 
@@ -120,12 +119,14 @@ def _huber_weights(r: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _so3_exp_quat(w: np.ndarray) -> np.ndarray:
-    theta = np.linalg.norm(w)
-    if theta < 1e-12:
-        q = np.array([1.0, 0.5 * w[0], 0.5 * w[1], 0.5 * w[2]])
-        return q / np.linalg.norm(q)
-    axis = w / theta
-    return np.concatenate([[np.cos(theta / 2)], np.sin(theta / 2) * axis])
+    """Axis-angle rows (k, 3) -> unit quaternions (k, 4); rows with angle
+    below 1e-12 take the first-order quaternion, renormalized."""
+    theta = np.linalg.norm(w, axis=1, keepdims=True)
+    small = theta < 1e-12
+    axis = w / np.where(small, 1.0, theta)
+    q = np.concatenate([np.cos(theta / 2), np.sin(theta / 2) * axis], axis=1)
+    q_small = quat_normalize(np.concatenate([np.ones_like(theta), 0.5 * w], axis=1))
+    return np.where(small, q_small, q)
 
 
 class _EuclideanState:
@@ -160,11 +161,8 @@ class _EuclideanState:
         return quat_to_matrix(self.quats)[scene.view_idx]
 
     def apply_cam_step(self, delta: np.ndarray) -> None:
-        for i in range(len(self.quats)):
-            dq = _so3_exp_quat(delta[i, :3])
-            self.quats[i] = quat_multiply(dq, self.quats[i])
-            self.quats[i] /= np.linalg.norm(self.quats[i])
-            self.centers[i] += delta[i, 3:]
+        self.quats = quat_normalize(quat_multiply(_so3_exp_quat(delta[:, :3]), self.quats))
+        self.centers += delta[:, 3:]
 
     def snapshot(self):
         return (self.quats.copy(), self.centers.copy(), self.points.copy())
@@ -235,9 +233,16 @@ class _NormalBlocks:
     pi: np.ndarray
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of values[k] over k with index[k] == i, out of shape
+    (size,) + values.shape[1:]; rows are summed in input order."""
+    flat = values.reshape(len(values), -1)
+    out = np.stack([np.bincount(index, weights=col, minlength=size) for col in flat.T], axis=1)
+    return out.reshape((size,) + values.shape[1:])
+
+
 def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     m, n = scene.num_views, scene.num_points
-    dc = state.dof
     r, z = _residuals(scene, state.matrices(), state.points)
     usable = np.abs(z[:, 2]) >= 1e-12
 
@@ -250,22 +255,17 @@ def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     dPi[:, 1, 1] = inv
     dPi[:, 0, 2] = -zs[:, 0] * inv * inv
     dPi[:, 1, 2] = -zs[:, 1] * inv * inv
-    Jc = -np.einsum("kab,kbc->kac", dPi, state.cam_jacobian(scene, z)[usable])
-    Jp = -np.einsum("kab,kbc->kac", dPi, state.point_jacobian(scene)[usable])
-    Jc *= w[:, None, None]
-    Jp *= w[:, None, None]
+    dPi *= -w[:, None, None]
+    Jc = dPi @ state.cam_jacobian(scene, z)[usable]
+    Jp = dPi @ state.point_jacobian(scene)[usable]
     rw = r[usable] * w[:, None]
     vi_u, pi_u = scene.view_idx[usable], scene.point_idx[usable]
 
-    U = np.zeros((m, dc, dc))
-    V = np.zeros((n, 3, 3))
-    gc = np.zeros((m, dc))
-    gp = np.zeros((n, 3))
-    np.add.at(U, vi_u, np.einsum("kab,kac->kbc", Jc, Jc))
-    np.add.at(V, pi_u, np.einsum("kab,kac->kbc", Jp, Jp))
-    np.add.at(gc, vi_u, np.einsum("kab,ka->kb", Jc, rw))
-    np.add.at(gp, pi_u, np.einsum("kab,ka->kb", Jp, rw))
-    W = np.einsum("kab,kac->kbc", Jc, Jp)
+    U = _scatter_add(vi_u, np.einsum("kab,kac->kbc", Jc, Jc), m)
+    V = _scatter_add(pi_u, np.einsum("kab,kac->kbc", Jp, Jp), n)
+    gc = _scatter_add(vi_u, np.einsum("kab,ka->kb", Jc, rw), m)
+    gp = _scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
+    W = Jc.transpose(0, 2, 1) @ Jp
     return _NormalBlocks(U=U, V=V, W=W, gc=gc, gp=gp, vi=vi_u, pi=pi_u)
 
 
@@ -276,6 +276,14 @@ def _damped(blocks: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+# Points per slab in the Schur assembly. Each (m, dc, SCHUR_SLICE, 3) slab
+# takes 24 * m * dc * SCHUR_SLICE bytes (0.55 MB at m=30, dc=6), so the
+# assembly's memory does not grow with the number of points; at 30 views and
+# 1000 points one slab over all points doubles the step's peak allocation
+# (14.1 MB against 6.7 MB).
+SCHUR_SLICE = 128
+
+
 def solve_schur_step(nb: _NormalBlocks, lam: float, m: int, n: int,
                      dc: int) -> tuple[np.ndarray, np.ndarray]:
     """Solve the damped normal equations by eliminating the point blocks.
@@ -284,35 +292,33 @@ def solve_schur_step(nb: _NormalBlocks, lam: float, m: int, n: int,
     numpy.linalg.LinAlgError when the reduced system cannot be solved.
     """
     Ud = _damped(nb.U, lam)
-    Vd = _damped(nb.V, lam)
-    Vinv = np.linalg.inv(Vd)
-
-    S = np.zeros((m, m, dc, dc))
-    rhs = -nb.gc.copy()
-    Y = np.einsum("kab,kbc->kac", nb.W, Vinv[nb.pi])
-    np.add.at(rhs, nb.vi, np.einsum("kab,kb->ka", Y, nb.gp[nb.pi]))
-
-    # group observations by point; every camera pair seeing the same point
-    # couples in the reduced system (including each camera with itself)
+    Vinv = np.linalg.inv(_damped(nb.V, lam))
     order = np.argsort(nb.pi, kind="stable")
-    bounds = np.searchsorted(nb.pi[order], np.arange(n + 1))
-    for j in range(n):
-        ks = order[bounds[j]:bounds[j + 1]]
-        if ks.size == 0:
-            continue
-        cams = nb.vi[ks]
-        WV = np.einsum("kab,bc->kac", nb.W[ks], Vinv[j])
-        cross = np.einsum("kab,lcb->klac", WV, nb.W[ks])
-        for a in range(ks.size):
-            for b in range(ks.size):
-                S[cams[a], cams[b]] -= cross[a, b]
-    for i in range(m):
-        S[i, i] += Ud[i]
+    vi, pi, W = nb.vi[order], nb.pi[order], nb.W[order]
+    Y = W @ Vinv[pi]
 
-    Sdense = S.transpose(0, 2, 1, 3).reshape(m * dc, m * dc)
-    delta_c = np.linalg.solve(Sdense, rhs.reshape(-1)).reshape(m, dc)
-    resid_p = -nb.gp.copy()
-    np.add.at(resid_p, nb.pi, -np.einsum("kab,ka->kb", nb.W, delta_c[nb.vi]))
+    # S = blockdiag(Ud) - sum_j W_j Vinv_j W_j^T, with W_j the coupling
+    # blocks of point j stacked over all cameras (zero where unobserved).
+    # Per slice of points, W and Y = W Vinv are scattered into dense
+    # (m, dc, slice, 3) slabs and one slab product is subtracted; scenes
+    # hold no duplicate (view, point) pair, so no slab entry is written twice.
+    S = np.zeros((m * dc, m * dc))
+    rhs = -nb.gc.ravel()
+    bounds = np.searchsorted(pi, np.arange(0, n + SCHUR_SLICE, SCHUR_SLICE))
+    for j0, lo, hi in zip(range(0, n, SCHUR_SLICE), bounds[:-1], bounds[1:]):
+        width = min(SCHUR_SLICE, n - j0)
+        W_slab = np.zeros((m, dc, width, 3))
+        Y_slab = np.zeros((m, dc, width, 3))
+        W_slab[vi[lo:hi], :, pi[lo:hi] - j0] = W[lo:hi]
+        Y_slab[vi[lo:hi], :, pi[lo:hi] - j0] = Y[lo:hi]
+        Y_flat = Y_slab.reshape(m * dc, 3 * width)
+        S -= Y_flat @ W_slab.reshape(m * dc, 3 * width).T
+        rhs += Y_flat @ nb.gp[j0:j0 + width].ravel()
+    cams = np.arange(m)
+    S.reshape(m, dc, m, dc)[cams, :, cams] += Ud
+
+    delta_c = np.linalg.solve(S, rhs).reshape(m, dc)
+    resid_p = -nb.gp - _scatter_add(pi, np.einsum("kab,ka->kb", W, delta_c[vi]), n)
     delta_p = np.einsum("kab,kb->ka", Vinv, resid_p)
     return delta_c, delta_p
 

@@ -135,6 +135,11 @@ class TestInferBaEval:
         run_ok(runner, ["ba", "--scene", str(scene_path), "--recon",
                         str(recon_path), "--out", str(tmp_path / "ba3")])
         assert recon_path.read_bytes() == before
+        diag = json.loads((tmp_path / "ba3" / "manifest.json").read_text())["diagnostics"]
+        assert diag["converged"] is True and diag["message"] == ""
+        assert len(diag["objectives"]) == 2          # one trace per round
+        for trace in diag["objectives"]:
+            assert trace and all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_eval_ground_truth_is_zero(self, runner, tmp_path):
         """Evaluating the ground truth against itself prints zeros."""
@@ -200,3 +205,7 @@ class TestExitCodes:
                                       "--recon", str(recon_path),
                                       "--out", str(tmp_path / "ba")])
         assert result.exit_code == 4
+        diag = json.loads((tmp_path / "ba" / "manifest.json").read_text())["diagnostics"]
+        assert diag["converged"] is False
+        assert diag["message"] == "non-finite objective at round start"
+        assert diag["objectives"][0] == [None]

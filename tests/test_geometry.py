@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tracksfm.geometry import (
+    SCHUR_SLICE,
     BaConfig,
     DegenerateConfigError,
     SimilarityTransform,
     _build_normal_blocks,
     _EuclideanState,
+    _ProjectiveState,
     _residuals,
     _robust_objective,
     align_similarity,
@@ -25,7 +29,7 @@ from tracksfm.network import Reconstruction
 from tracksfm.objective import mean_reprojection
 from tracksfm.rotations import (axis_angle_to_matrix, matrix_to_quat,
                                 quat_multiply, quat_to_matrix)
-from tracksfm.scene import Scene
+from tracksfm.scene import Scene, normalize_hartley
 
 from conftest import make_scene, gt_reconstruction
 
@@ -173,6 +177,42 @@ class TestSchurAgainstDense:
         for lam in (1e-3, 1e-1, 10.0):
             dc_s, dp_s = solve_schur_step(nb, lam, 5, 25, 6)
             dc_d, dp_d = solve_dense_step(nb, lam, 5, 25, 6)
+            np.testing.assert_allclose(dc_s, dc_d, atol=1e-9)
+            np.testing.assert_allclose(dp_s, dp_d, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["euclidean", "projective"])
+    def test_slices_and_unusable_point_match_dense(self, rng, mode):
+        """Points spanning three slices, the last one partial, including a
+        point whose every observation has zero depth and so drops out of
+        the normal blocks."""
+        m, n = 5, 2 * SCHUR_SLICE + 37
+        scene, raw, _ = make_scene(num_views=m, num_points=n, visibility=0.8,
+                                   seed=11, mode=mode)
+        start = perturbed_gt(raw, rng)
+        if mode == "euclidean":
+            state = _EuclideanState(start)
+        else:
+            scene, record = normalize_hartley(scene)
+            P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(start))
+            P /= np.linalg.norm(P.reshape(m, 12), axis=1)[:, None, None]
+            state = _ProjectiveState(Reconstruction(mode="projective", matrices=P,
+                                                    points=start.points))
+        # keep two observations of point 0 and put it on the principal
+        # planes of both cameras
+        vi, pi = scene.view_idx, scene.point_idx
+        views = vi[pi == 0][:2]
+        keep = (pi != 0) | np.isin(vi, views)
+        scene = replace(scene, view_idx=vi[keep], point_idx=pi[keep], xy=scene.xy[keep])
+        depth_rows = state.matrices()[views, 2]
+        state.points[0] = np.linalg.lstsq(depth_rows[:, :3], -depth_rows[:, 3],
+                                          rcond=None)[0]
+
+        nb = _build_normal_blocks(scene, state, BaConfig())
+        assert 0 not in nb.pi and not nb.V[0].any() and not nb.gp[0].any()
+        dc = state.dof
+        for lam in (1e-3, 1e-1, 10.0):
+            dc_s, dp_s = solve_schur_step(nb, lam, m, n, dc)
+            dc_d, dp_d = solve_dense_step(nb, lam, m, n, dc)
             np.testing.assert_allclose(dc_s, dc_d, atol=1e-9)
             np.testing.assert_allclose(dp_s, dp_d, atol=1e-9)
 
