@@ -13,7 +13,8 @@ import numpy as np
 
 from .network import Reconstruction
 from .rotations import matrix_to_quat, quat_multiply, quat_normalize, quat_to_matrix
-from .scene import EUCLIDEAN, PROJECTIVE, NormalizationRecord, Scene
+from .scene import (DEPTH_GUARD, EUCLIDEAN, PROJECTIVE, NormalizationRecord, Scene,
+                    pose_matrices, project)
 
 
 class DegenerateConfigError(ValueError):
@@ -48,9 +49,7 @@ class BaDiagnostics:
 def camera_matrices(recon: Reconstruction) -> np.ndarray:
     """Per-view 3x4 projection matrices ([R | -Rc] in euclidean mode)."""
     if recon.mode == EUCLIDEAN:
-        R = quat_to_matrix(recon.quats)
-        t = -np.einsum("kab,kb->ka", R, recon.centers)
-        return np.concatenate([R, t[:, :, None]], axis=2)
+        return pose_matrices(quat_to_matrix(recon.quats), recon.centers)
     return recon.matrices
 
 
@@ -93,14 +92,8 @@ def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.nda
 # -- bundle adjustment --------------------------------------------------------
 
 def _residuals(scene: Scene, P: np.ndarray, points: np.ndarray):
-    Xh = np.concatenate([points, np.ones((len(points), 1))], axis=1)
-    z = np.einsum("kab,kb->ka", P[scene.view_idx], Xh[scene.point_idx])
-    depth = z[:, 2]
-    safe = np.where(np.abs(depth) < 1e-12, 1.0, depth)
-    proj = z[:, :2] / safe[:, None]
-    r = scene.xy - proj
-    r[np.abs(depth) < 1e-12] = np.inf
-    return r, z
+    xy, z = project(P, points, scene.view_idx, scene.point_idx)
+    return scene.xy - xy, z
 
 
 def _robust_objective(r: np.ndarray, delta: float) -> float:
@@ -141,9 +134,7 @@ class _EuclideanState:
         self.points = recon.points.copy()
 
     def matrices(self) -> np.ndarray:
-        R = quat_to_matrix(self.quats)
-        t = -np.einsum("kab,kb->ka", R, self.centers)
-        return np.concatenate([R, t[:, :, None]], axis=2)
+        return pose_matrices(quat_to_matrix(self.quats), self.centers)
 
     def cam_jacobian(self, scene: Scene, z: np.ndarray) -> np.ndarray:
         """d z / d [omega, dc] per observation, shape (N, 3, 6)."""
@@ -244,7 +235,7 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray
 def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     m, n = scene.num_views, scene.num_points
     r, z = _residuals(scene, state.matrices(), state.points)
-    usable = np.abs(z[:, 2]) >= 1e-12
+    usable = np.abs(z[:, 2]) >= DEPTH_GUARD
 
     # dr/d(param) = -dPi/dz . dz/d(param), whitened by sqrt Huber weights
     w = np.sqrt(_huber_weights(r[usable], cfg.huber_threshold))
@@ -448,13 +439,9 @@ class SimilarityTransform:
 
         Camera orientation maps as R_cam -> R_cam R^T so projections of
         transformed points are preserved (the scale folds into depth)."""
-        R = self.matrix()
-        quats = np.stack([
-            matrix_to_quat(quat_to_matrix(q) @ R.T) for q in recon.quats
-        ])
         return Reconstruction(
             mode=recon.mode,
-            quats=quats,
+            quats=matrix_to_quat(quat_to_matrix(recon.quats) @ self.matrix().T),
             centers=self.apply_points(recon.centers),
             points=self.apply_points(recon.points),
         )
@@ -513,16 +500,15 @@ def reprojection_errors_px(scene: Scene, recon: Reconstruction,
                            record: NormalizationRecord | None = None) -> np.ndarray:
     """Per-observation reprojection distance in pixel units, recovered by
     mapping both measured and projected points back through the
-    normalization record (identity when none is given)."""
-    P = camera_matrices(recon)
-    Xh = np.concatenate([recon.points, np.ones((scene.num_points, 1))], axis=1)
-    z = np.einsum("kab,kb->ka", P[scene.view_idx], Xh[scene.point_idx])
-    proj = z[:, :2] / z[:, 2:3]
+    normalization record (identity when none is given). Observations whose
+    projection falls under the projector's depth guard read inf."""
+    xy, _ = project(camera_matrices(recon), recon.points, scene.view_idx, scene.point_idx)
+    guarded = np.isinf(xy[:, 0])
     if record is None:
         record = NormalizationRecord.identity(scene.num_views)
     measured_px = record.to_pixels(scene.view_idx, scene.xy)
-    proj_px = record.to_pixels(scene.view_idx, proj)
-    return np.linalg.norm(measured_px - proj_px, axis=1)
+    proj_px = record.to_pixels(scene.view_idx, np.where(guarded[:, None], 0.0, xy))
+    return np.where(guarded, np.inf, np.linalg.norm(measured_px - proj_px, axis=1))
 
 
 def metrics(scene: Scene, recon: Reconstruction, gt: Reconstruction,
@@ -539,10 +525,8 @@ def metrics(scene: Scene, recon: Reconstruction, gt: Reconstruction,
     Rg = quat_to_matrix(gt.quats)
     rel = np.einsum("kab,kcb->kac", Ra, Rg)       # R_est R_gt^T
     # quaternion-based angle: stable near the identity, unlike acos(trace)
-    angles = []
-    for R in rel:
-        q = matrix_to_quat(R)
-        angles.append(2.0 * np.arctan2(np.linalg.norm(q[1:]), abs(q[0])))
+    q = matrix_to_quat(rel)
+    angles = 2.0 * np.arctan2(np.linalg.norm(q[:, 1:], axis=1), np.abs(q[:, 0]))
     rot_deg = float(np.degrees(np.mean(angles)))
     trans = float(np.linalg.norm(aligned.centers - gt.centers, axis=1).mean())
     return MetricsReport(mean_reprojection_px=reproj, mean_rotation_deg=rot_deg,

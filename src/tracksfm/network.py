@@ -350,18 +350,6 @@ def _head(x: Tensor, pv) -> Tensor:
 
 
 @dataclass
-class FeatureState:
-    """The four feature collections threaded through the layers, plus the
-    immutable initial projection embedding."""
-
-    proj: Tensor | None
-    view: Tensor
-    point: Tensor
-    global_: Tensor
-    proj_init: Tensor
-
-
-@dataclass
 class ForwardResult:
     """Differentiable network output.
 
@@ -446,27 +434,21 @@ def forward(scene: Scene, params: ModelParams) -> ForwardResult:
     g = update_global_feat(v, s, None, cfg, pv("init_global"))
     _check_finite(g, "initial updates")
 
-    state = FeatureState(proj=None, view=v, point=s, global_=g, proj_init=p0)
+    p = None
     for layer in range(cfg.layers):
-        if layer == 0:
-            p_in = state.proj_init
-        else:
-            p_in = ad.concat([state.proj, state.proj_init], axis=1)
-        state.proj = update_proj_feats(state.proj, p_in, state.view, state.point,
-                                       state.global_, view_idx, point_idx,
-                                       pv(f"layer{layer}.proj"))
-        state.view = update_view_feats(state.proj, view_idx, m, state.view,
-                                       cfg.d_p, cfg.d_v, pv(f"layer{layer}.view"))
-        state.point = update_point_feats(state.proj, point_idx, n, state.point,
-                                         cfg.d_p, cfg.d_s, pv(f"layer{layer}.point"))
+        p_in = p0 if layer == 0 else ad.concat([p, p0], axis=1)
+        p = update_proj_feats(p, p_in, v, s, g, view_idx, point_idx,
+                              pv(f"layer{layer}.proj"))
+        v = update_view_feats(p, view_idx, m, v, cfg.d_p, cfg.d_v, pv(f"layer{layer}.view"))
+        s = update_point_feats(p, point_idx, n, s, cfg.d_p, cfg.d_s,
+                               pv(f"layer{layer}.point"))
         if layer < cfg.layers - 1:
-            state.global_ = update_global_feat(state.view, state.point, state.global_,
-                                               cfg, pv(f"layer{layer}.global"))
-        _check_finite(state.view, "layer update", layer)
-        _check_finite(state.point, "layer update", layer)
+            g = update_global_feat(v, s, g, cfg, pv(f"layer{layer}.global"))
+        _check_finite(v, "layer update", layer)
+        _check_finite(s, "layer update", layer)
 
-    cams_raw = _head(ad.relu(state.view), pv("cam_head"))
-    points = _head(ad.relu(state.point), pv("point_head"))
+    cams_raw = _head(ad.relu(v), pv("cam_head"))
+    points = _head(ad.relu(s), pv("point_head"))
     _check_finite(cams_raw, "camera head")
     _check_finite(points, "point head")
 

@@ -1,4 +1,4 @@
-"""Projection model and the training objective.
+"""Differentiable projection and the training objective.
 
 The loss is the non-squared reprojection error averaged over all observed
 image points. Projections whose depth falls below the hinge threshold
@@ -17,35 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
 from .network import ForwardResult, Reconstruction
-from .rotations import quat_to_matrix
 from .scene import EUCLIDEAN, Scene
 
 DEPTH_HINGE = 1e-4
 RESIDUAL_EPS = 1e-12
-
-
-class SingularProjectionError(ArithmeticError):
-    """Projection with exactly zero depth cannot be dehomogenized."""
-
-
-def project(camera, point) -> tuple[np.ndarray, float]:
-    """Project one 3D point through one camera; returns (image xy, depth).
-
-    `camera` is either (unit quaternion, center) or a 3x4 matrix. Zero
-    depth raises; the differentiable loss path routes such projections to
-    the depth hinge instead.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    if isinstance(camera, tuple):
-        q, c = camera
-        z = quat_to_matrix(np.asarray(q)) @ (point - np.asarray(c))
-    else:
-        P = np.asarray(camera, dtype=np.float64)
-        z = P @ np.append(point, 1.0)
-    depth = float(z[2])
-    if depth == 0.0:
-        raise SingularProjectionError("projection lies on the principal plane")
-    return z[:2] / depth, depth
 
 
 @dataclass
@@ -133,38 +108,14 @@ def loss(scene: Scene, result: ForwardResult | Reconstruction,
     return total, report
 
 
-def mean_reprojection(scene: Scene, recon: Reconstruction) -> float:
-    """Non-differentiable convenience wrapper around loss()."""
-    _, report = loss(scene, recon)
-    return report.mean_reprojection
-
-
-def gradient_norm(grads) -> float:
-    sq = 0.0
-    for g in (grads.values() if isinstance(grads, dict) else grads):
-        sq += float(np.dot(g.ravel(), g.ravel()))
-    return float(np.sqrt(sq))
-
-
-def normalize_gradients(grads: dict) -> dict:
-    """Scale the concatenated gradient vector to unit L2 norm.
+def normalize_param_grads(params) -> float:
+    """Scale the Tensor .grad buffers in place so their concatenation has
+    unit L2 norm; returns the pre-normalization norm.
 
     Normalization is global (one scale for every tensor), preserving the
     update direction exactly. An all-zero gradient passes through
     unchanged; non-finite gradients are an error.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in {name}")
-    norm = gradient_norm(grads)
-    if norm == 0.0:
-        return dict(grads)
-    return {name: g / norm for name, g in grads.items()}
-
-
-def normalize_param_grads(params) -> float:
-    """In-place global normalization of Tensor .grad buffers; returns the
-    pre-normalization norm."""
     tensors = params.tensors.values() if hasattr(params, "tensors") else params
     tensors = list(tensors)
     for t in tensors:

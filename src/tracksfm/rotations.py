@@ -97,12 +97,6 @@ def axis_angle_to_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle of R in radians, in [0, pi]."""
-    c = (np.trace(R) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def look_at_rotation(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     """World-to-camera rotation for a camera at `center` looking at `target`.
 

@@ -1,6 +1,8 @@
 """Scene representation: sparse 2D point tracks with optional calibration
 and ground truth, JSON ingestion/emission, coordinate normalization, view
-subsetting, and a synthetic scene generator for tests and experiments.
+subsetting, a synthetic scene generator for tests and experiments, and the
+numpy camera projection that the generator, augmentation, bundle adjustment
+and the metrics share.
 
 A scene holds measurements m_ij for every (view i, scene point j) pair
 marked visible in the observability pattern. Observations are stored in
@@ -12,7 +14,7 @@ arrays elsewhere in the package follow that order. Arrays are frozen
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,11 +90,15 @@ class Scene:
         m, n = self.num_views, self.num_points
         if self.mode not in (EUCLIDEAN, PROJECTIVE):
             raise MalformedSceneError(f"unknown mode {self.mode!r}")
+        if m < 0 or n < 0:
+            raise MalformedSceneError(f"negative scene size ({m} views, {n} points)")
         vi = np.ascontiguousarray(np.asarray(self.view_idx, dtype=np.int64))
         pi = np.ascontiguousarray(np.asarray(self.point_idx, dtype=np.int64))
         xy = np.ascontiguousarray(np.asarray(self.xy, dtype=np.float64))
         if vi.shape != pi.shape or xy.shape != (vi.size, 2):
             raise MalformedSceneError("observation arrays have inconsistent shapes")
+        if not np.isfinite(xy).all():
+            raise MalformedSceneError("observations must be finite")
         if vi.size and (vi.min() < 0 or vi.max() >= m):
             raise IndexRangeError("view index out of range")
         if pi.size and (pi.min() < 0 or pi.max() >= n):
@@ -135,28 +141,32 @@ class Scene:
     def num_observations(self) -> int:
         return int(self.view_idx.size)
 
-    @property
-    def has_gt(self) -> bool:
-        return self.gt_quats is not None and self.gt_points is not None
+
+# Projections with |depth| below this cannot be dehomogenized; `project`
+# reports them as infinite image points.
+DEPTH_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservabilityPattern:
-    """Index lists of the binary observability matrix, both orientations."""
+def pose_matrices(R: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Camera matrices [R | -Rc], shape (m, 3, 4), from world-to-camera
+    rotations (m, 3, 3) and centers (m, 3)."""
+    t = -np.einsum("kab,kb->ka", R, centers)
+    return np.concatenate([R, t[:, :, None]], axis=2)
 
-    points_in_view: list[np.ndarray]
-    views_of_point: list[np.ndarray]
-    total: int
 
-    @classmethod
-    def from_scene(cls, scene: Scene) -> "ObservabilityPattern":
-        piv = [np.flatnonzero(scene.view_idx == i) for i in range(scene.num_views)]
-        vop = [np.flatnonzero(scene.point_idx == j) for j in range(scene.num_points)]
-        return cls(
-            points_in_view=[scene.point_idx[k] for k in piv],
-            views_of_point=[scene.view_idx[k] for k in vop],
-            total=scene.num_observations,
-        )
+def project(P: np.ndarray, points: np.ndarray, view_idx: np.ndarray,
+            point_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project points[point_idx] through the 3x4 cameras P[view_idx].
+
+    Returns (xy (N, 2), z (N, 3)) with z = P[view] [X; 1] in camera-frame
+    coordinates and xy = z[:2] / z[2]; xy is inf where |z[2]| < DEPTH_GUARD.
+    """
+    Xh = np.concatenate([points, np.ones((len(points), 1))], axis=1)
+    z = np.einsum("kab,kb->ka", P[view_idx], Xh[point_idx])
+    guarded = np.abs(z[:, 2]) < DEPTH_GUARD
+    xy = z[:, :2] / np.where(guarded, 1.0, z[:, 2])[:, None]
+    xy[guarded] = np.inf
+    return xy, z
 
 
 @dataclass(frozen=True)
@@ -384,9 +394,7 @@ def generate_synthetic(cfg: SceneGenConfig, seed: int) -> Scene:
         raise InfeasibleVisibilityError("could not satisfy coverage constraints")
 
     vi, pi = np.nonzero(visible)
-    R = quat_to_matrix(quats)
-    z = np.einsum("kab,kb->ka", R[vi], points[pi] - centers[vi])
-    xy = z[:, :2] / z[:, 2:3]
+    xy, _ = project(pose_matrices(quat_to_matrix(quats), centers), points, vi, pi)
     if cfg.noise_sigma > 0:
         xy = xy + rng.normal(0.0, cfg.noise_sigma, size=xy.shape)
 

@@ -20,7 +20,7 @@ from .autodiff import NumericError
 from .network import ModelParams, NetConfig, forward, init_params, param_shapes
 from .objective import loss, normalize_param_grads
 from .rotations import axis_angle_to_matrix, matrix_to_quat, quat_to_matrix
-from .scene import EUCLIDEAN, Scene, SceneError, subsample_views
+from .scene import EUCLIDEAN, Scene, SceneError, pose_matrices, project, subsample_views
 
 
 class InfeasibleOutlierRateError(SceneError):
@@ -172,22 +172,18 @@ def augment(scene: Scene, rng: np.random.Generator,
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=m)
     gammas = rng.uniform(*gamma_range_deg, size=m)
 
-    new_quats = np.empty_like(scene.gt_quats)
-    R_new = np.empty((m, 3, 3))
+    R_new = quat_to_matrix(scene.gt_quats)
     for i in range(m):
-        R = quat_to_matrix(scene.gt_quats[i])
         Rz = axis_angle_to_matrix(np.array([0.0, 0.0, 1.0]), np.deg2rad(alphas[i]))
         axis = np.array([np.cos(thetas[i]), np.sin(thetas[i]), 0.0])
         Rg = axis_angle_to_matrix(axis, np.deg2rad(gammas[i]))
-        R_new[i] = Rg @ Rz @ R
-        new_quats[i] = matrix_to_quat(R_new[i])
+        R_new[i] = Rg @ Rz @ R_new[i]
 
-    z = np.einsum("kab,kb->ka", R_new[scene.view_idx],
-                  scene.gt_points[scene.point_idx] - scene.gt_centers[scene.view_idx])
+    xy, z = project(pose_matrices(R_new, scene.gt_centers), scene.gt_points,
+                    scene.view_idx, scene.point_idx)
     if np.any(z[:, 2] <= 0):
         raise NumericError("augmentation rotated a point behind its camera")
-    xy = z[:, :2] / z[:, 2:3]
-    out = replace(scene, xy=xy, gt_quats=new_quats)
+    out = replace(scene, xy=xy, gt_quats=matrix_to_quat(R_new))
     if return_draws:
         return out, AugmentDraws(alphas, gammas, thetas)
     return out
@@ -303,10 +299,9 @@ class Checkpoint:
         )
 
     def restore_params(self) -> ModelParams:
-        params = init_params(self.train_config.net, seed=0)
-        for name, values in self.param_values.items():
-            params[name].values = values.copy()
-        return params
+        cfg = self.train_config.net
+        return ModelParams(cfg, {name: ad.parameter(self.param_values[name].copy())
+                                 for name in param_shapes(cfg)})
 
     def restore_adam(self) -> AdamState:
         return AdamState(m={k: v.copy() for k, v in self.adam_m.items()},
@@ -340,20 +335,34 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint. Raises ValueError when
+    the header's parameter names or shapes differ from param_shapes of its
+    network config, when the file is cut short, or when bytes trail the
+    last buffer."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise ValueError("not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
+        size = f.read(8)
+        if len(size) != 8:
+            raise ValueError("checkpoint is truncated in its header")
+        (hlen,) = struct.unpack("<Q", size)
         header = json.loads(f.read(hlen).decode("utf-8"))
         cfg = TrainConfig.from_dict(header["train_config"])
+        shapes = param_shapes(cfg.net)
+        if [(name, tuple(shape)) for name, shape in header["params"]] != list(shapes.items()):
+            raise ValueError("checkpoint parameters do not match its network config")
         groups = []
         for _ in range(3):
             buffers = {}
-            for name, shape in header["params"]:
-                count = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape)
-                buffers[name] = data.astype(np.float64)
+            for name, shape in shapes.items():
+                count = int(np.prod(shape))
+                raw = f.read(8 * count)
+                if len(raw) != 8 * count:
+                    raise ValueError(f"checkpoint is truncated in buffer {name!r}")
+                buffers[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
             groups.append(buffers)
+        if f.read(1):
+            raise ValueError("checkpoint has trailing bytes")
     return Checkpoint(
         train_config=cfg,
         param_values=groups[0], adam_m=groups[1], adam_v=groups[2],

@@ -19,7 +19,7 @@ from tracksfm.geometry import (SimilarityTransform, align_similarity,
                                bundle_adjust, metrics, triangulate)
 from tracksfm.network import (NetConfig, Reconstruction, forward, init_params,
                               parameter_count)
-from tracksfm.objective import loss, mean_reprojection
+from tracksfm.objective import loss
 from tracksfm.rotations import (axis_angle_to_matrix, matrix_to_quat,
                                 quat_multiply, quat_to_matrix)
 from tracksfm.scene import (SceneGenConfig, generate_synthetic,
@@ -221,7 +221,7 @@ def test_pipeline_inference_plus_ba(overfit_run, tmp_path):
                                   "--out", str(tmp_path / "ba")])
     assert r2.exit_code == 0, r2.output
     refined = load_reconstruction(tmp_path / "ba" / "reconstruction.json")
-    err = mean_reprojection(scene, refined)
+    err = loss(scene, refined)[1].mean_reprojection
     man_inf = json.loads((tmp_path / "inf" / "manifest.json").read_text())
     man_ba = json.loads((tmp_path / "ba" / "manifest.json").read_text())
     timings_split = ("inference" in man_inf["timings"]
@@ -256,7 +256,7 @@ def test_criterion_05_bundle_adjustment():
             points=scene.gt_points + rng.normal(size=(100, 3)) * 0.01,
         )
         refined, diag = bundle_adjust(scene_n, start)
-        if mean_reprojection(scene_n, refined) < 1e-8:
+        if loss(scene_n, refined)[1].mean_reprojection < 1e-8:
             converged += 1
         if all(all(b < a for a, b in zip(t, t[1:])) for t in diag.objectives):
             monotone += 1

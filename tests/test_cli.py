@@ -175,6 +175,20 @@ class TestExitCodes:
                                       "--recon", str(bad)])
         assert result.exit_code == 2
 
+    def test_ba_nonfinite_observation_is_2(self, runner, tmp_path):
+        """A NaN measurement is rejected when the scene is read, before BA."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        doc = json.loads(scene_path.read_text())
+        doc["observations"][5][3] = float("nan")
+        bad = tmp_path / "nan_scene.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["ba", "--scene", str(bad), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "ba")])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)
         scene = load_scene(scene_path)

@@ -26,7 +26,7 @@ from tracksfm.geometry import (
     triangulate,
 )
 from tracksfm.network import Reconstruction
-from tracksfm.objective import mean_reprojection
+from tracksfm.objective import loss
 from tracksfm.rotations import (axis_angle_to_matrix, matrix_to_quat,
                                 quat_multiply, quat_to_matrix)
 from tracksfm.scene import Scene, normalize_hartley
@@ -110,7 +110,7 @@ class TestBundleAdjust:
         start = perturbed_gt(raw, rng)
         refined, diag = bundle_adjust(scene, start)
         assert diag.converged
-        assert mean_reprojection(scene, refined) < 1e-8
+        assert loss(scene, refined)[1].mean_reprojection < 1e-8
 
     def test_objective_monotone_over_accepted_steps(self, rng):
         scene, raw, _ = make_scene(num_views=8, num_points=60, visibility=0.9,
@@ -367,6 +367,22 @@ class TestMetrics:
         rep_px = metrics(scene_n, est, gt, record)
         errs_norm = reprojection_errors_px(scene_n, est, None)
         assert abs(rep_px.mean_reprojection_px - 1000.0 * errs_norm.mean()) < 1e-6
+
+    def test_zero_depth_reads_inf(self):
+        """An observation on a camera's principal plane reports an infinite
+        pixel error without a floating-point warning; the others stay
+        exact."""
+        scene, raw, record = make_scene(num_views=4, num_points=15, seed=18)
+        est = gt_reconstruction(raw)
+        pts = est.points.copy()
+        pts[scene.point_idx[0]] = est.centers[scene.view_idx[0]]
+        est.points = pts
+        with np.errstate(all="raise"):
+            errs = reprojection_errors_px(scene, est, record)
+        moved = scene.point_idx == scene.point_idx[0]
+        assert np.isinf(errs[0])
+        assert np.isfinite(errs[1:]).all()
+        assert errs[~moved].max() <= 1e-9
 
 
 class TestReconIo:

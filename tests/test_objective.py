@@ -6,57 +6,88 @@ from tracksfm.autodiff import NumericError, grad_check
 from tracksfm.network import ForwardResult, Reconstruction
 from tracksfm.objective import (
     DEPTH_HINGE,
-    SingularProjectionError,
-    gradient_norm,
+    _camera_depths_and_rays,
     loss,
-    normalize_gradients,
     normalize_param_grads,
-    project,
 )
 from tracksfm.rotations import axis_angle_to_matrix, matrix_to_quat, quat_to_matrix
-from tracksfm.scene import Scene
+from tracksfm.scene import Scene, pose_matrices, project
 
 from conftest import make_scene, gt_reconstruction
 
-IDENTITY_POSE = (np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
+IDENTITY_P = np.eye(3, 4)[None]
+
+
+def project_one(P, X):
+    """scene.project for one 3x4 camera and one point: (xy (2,), depth)."""
+    xy, z = project(np.asarray(P)[None], np.asarray(X, dtype=np.float64)[None],
+                    np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+    return xy[0], z[0, 2]
 
 
 class TestProject:
     def test_identity_on_axis(self):
-        xy, depth = project(IDENTITY_POSE, [0.0, 0.0, 2.0])
+        xy, depth = project_one(IDENTITY_P[0], [0.0, 0.0, 2.0])
         np.testing.assert_array_equal(xy, [0.0, 0.0])
         assert depth == 2.0
 
     def test_dehomogenization(self):
-        xy, depth = project(IDENTITY_POSE, [2.0, 4.0, 2.0])
+        xy, depth = project_one(IDENTITY_P[0], [2.0, 4.0, 2.0])
         np.testing.assert_array_equal(xy, [1.0, 2.0])
         assert depth == 2.0
 
     def test_against_matrix_oracle(self, rng):
-        """Quaternion pose projection equals the explicit [R | -Rc] 3x4
-        matrix product."""
+        """Projection through pose_matrices equals rotating X - c into the
+        camera frame and dividing by depth."""
         for _ in range(20):
             axis = rng.normal(size=3)
             q = matrix_to_quat(axis_angle_to_matrix(axis, rng.uniform(0, np.pi)))
             c = rng.normal(size=3)
             X = rng.normal(size=3) + np.array([0, 0, 5.0])
-            xy, depth = project((q, c), X)
             R = quat_to_matrix(q)
-            P = np.concatenate([R, (-R @ c)[:, None]], axis=1)
-            z = P @ np.append(X, 1.0)
+            xy, depth = project_one(pose_matrices(R[None], c[None])[0], X)
+            z = R @ (X - c)
             np.testing.assert_allclose(xy, z[:2] / z[2], atol=1e-12)
             np.testing.assert_allclose(depth, z[2], atol=1e-12)
 
     def test_projective_camera(self, rng):
         P = rng.normal(size=(3, 4))
         X = rng.normal(size=3)
-        xy, depth = project(P, X)
+        xy, depth = project_one(P, X)
         z = P @ np.append(X, 1.0)
         np.testing.assert_allclose(xy, z[:2] / z[2], atol=1e-14)
 
-    def test_zero_depth_raises(self):
-        with pytest.raises(SingularProjectionError):
-            project(IDENTITY_POSE, [1.0, 1.0, 0.0])
+    def test_depth_guard_gives_inf(self):
+        """Depth below the guard (here exactly 0) dehomogenizes to inf
+        without a floating-point warning; other rows are unaffected."""
+        P = np.repeat(IDENTITY_P, 2, axis=0)
+        X = np.array([[1.0, 1.0, 0.0], [2.0, 4.0, 2.0]])
+        with np.errstate(all="raise"):
+            xy, z = project(P, X, np.array([0, 1]), np.array([0, 1]))
+        assert np.isinf(xy[0]).all()
+        np.testing.assert_array_equal(xy[1], [1.0, 2.0])
+        np.testing.assert_array_equal(z[:, 2], [0.0, 2.0])
+
+    @pytest.mark.parametrize("mode", ["euclidean", "projective"])
+    def test_matches_autodiff_projection(self, rng, mode):
+        """Camera-frame coordinates of the numpy projector equal those of
+        the differentiable one in the loss."""
+        scene, raw, _ = make_scene(num_views=4, num_points=15, visibility=0.8, seed=7)
+        recon = gt_reconstruction(raw)
+        recon.points = recon.points + rng.normal(size=recon.points.shape) * 0.1
+        P = pose_matrices(quat_to_matrix(recon.quats), recon.centers)
+        if mode == "projective":
+            P = P * rng.uniform(0.5, 2.0, size=(len(P), 1, 1))
+            P[:, :, 3] += rng.normal(size=(len(P), 3)) * 0.1
+            result = ForwardResult(mode=mode, points=ad.constant(recon.points),
+                                   matrices=ad.constant(P.reshape(-1, 12)))
+        else:
+            result = ForwardResult(mode=mode, points=ad.constant(recon.points),
+                                   quats=ad.constant(recon.quats),
+                                   centers=ad.constant(recon.centers))
+        _, z = project(P, recon.points, scene.view_idx, scene.point_idx)
+        z_ad = _camera_depths_and_rays(scene, result).values
+        np.testing.assert_allclose(z, z_ad, rtol=0, atol=1e-12)
 
 
 def behind_camera_scene():
@@ -141,38 +172,56 @@ class TestLoss:
             loss(scene, recon)
 
 
+def grad_tensors(**grads):
+    """Parameters carrying the given gradients, keyed by name."""
+    out = {}
+    for name, g in grads.items():
+        t = ad.parameter(np.zeros_like(g))
+        t.grad = np.array(g, dtype=np.float64)
+        out[name] = t
+    return out
+
+
+def joint_norm(tensors):
+    return np.sqrt(sum(float(np.dot(t.grad.ravel(), t.grad.ravel()))
+                       for t in tensors.values()))
+
+
 class TestNormalizeGradients:
     def test_unit_norm_direction_preserved(self, rng):
         grads = {"a": rng.normal(size=(4, 3)) * 5, "b": rng.normal(size=(7,)) * 5}
-        scaled = normalize_gradients(grads)
-        assert abs(gradient_norm(scaled) - 1.0) <= 1e-12
-        ratio = scaled["a"] / grads["a"]
+        tensors = grad_tensors(**grads)
+        normalize_param_grads(tensors.values())
+        assert abs(joint_norm(tensors) - 1.0) <= 1e-12
+        ratio = tensors["a"].grad / grads["a"]
         np.testing.assert_allclose(ratio, ratio.ravel()[0], rtol=1e-12)
-        ratio_b = scaled["b"] / grads["b"]
+        ratio_b = tensors["b"].grad / grads["b"]
         np.testing.assert_allclose(ratio_b, ratio.ravel()[0], rtol=1e-12)
 
     def test_norm_ten_becomes_one(self):
         g = np.zeros(100)
         g[0] = 10.0
-        scaled = normalize_gradients({"g": g})
-        assert abs(gradient_norm(scaled) - 1.0) <= 1e-12
+        tensors = grad_tensors(g=g)
+        assert normalize_param_grads(tensors.values()) == 10.0
+        assert abs(joint_norm(tensors) - 1.0) <= 1e-12
 
     def test_zero_passes_through(self):
-        grads = {"a": np.zeros(5)}
-        scaled = normalize_gradients(grads)
-        np.testing.assert_array_equal(scaled["a"], np.zeros(5))
+        tensors = grad_tensors(a=np.zeros(5))
+        assert normalize_param_grads(tensors.values()) == 0.0
+        np.testing.assert_array_equal(tensors["a"].grad, np.zeros(5))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            normalize_gradients({"a": np.array([1.0, np.nan])})
+            normalize_param_grads(grad_tensors(a=np.array([1.0, np.nan])).values())
 
     def test_descent_direction_invariance(self, rng):
         """One plain gradient step moves in the identical direction with
         and without normalization."""
-        g = {"w": rng.normal(size=(6,))}
-        scaled = normalize_gradients(g)
-        cos = np.dot(g["w"], scaled["w"]) / (
-            np.linalg.norm(g["w"]) * np.linalg.norm(scaled["w"]))
+        g = rng.normal(size=(6,))
+        tensors = grad_tensors(w=g)
+        normalize_param_grads(tensors.values())
+        scaled = tensors["w"].grad
+        cos = np.dot(g, scaled) / (np.linalg.norm(g) * np.linalg.norm(scaled))
         assert abs(cos - 1.0) <= 1e-12
 
     def test_in_place_param_variant(self, rng):

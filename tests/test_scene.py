@@ -10,7 +10,6 @@ from tracksfm.scene import (
     IndexRangeError,
     InfeasibleVisibilityError,
     MalformedSceneError,
-    ObservabilityPattern,
     Scene,
     SceneError,
     SceneGenConfig,
@@ -82,6 +81,19 @@ class TestLoadScene:
         with pytest.raises(MalformedSceneError):
             load_scene(write_scene_json(tmp_path, doc))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_observation(self, tmp_path, bad):
+        doc = dict(MINIMAL)
+        doc["observations"] = MINIMAL["observations"][:3] + [[1, 1, 0.7, bad]]
+        with pytest.raises(MalformedSceneError, match="finite"):
+            load_scene(write_scene_json(tmp_path, doc))
+
+    @pytest.mark.parametrize("field", ["num_views", "num_points"])
+    def test_negative_size(self, tmp_path, field):
+        doc = dict(MINIMAL, observations=[], **{field: -1})
+        with pytest.raises(MalformedSceneError, match="negative"):
+            load_scene(write_scene_json(tmp_path, doc))
+
 
 class TestRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
@@ -101,16 +113,6 @@ class TestRoundTrip:
             np.testing.assert_array_equal(back.gt_quats, scene.gt_quats)
             np.testing.assert_array_equal(back.gt_centers, scene.gt_centers)
             np.testing.assert_array_equal(back.gt_points, scene.gt_points)
-
-
-class TestObservabilityPattern:
-    def test_transpose_consistency(self):
-        scene, _, _ = make_scene(num_views=4, num_points=12, visibility=0.7, seed=3)
-        pat = ObservabilityPattern.from_scene(scene)
-        assert pat.total == scene.num_observations
-        pairs_a = {(i, int(j)) for i, pts in enumerate(pat.points_in_view) for j in pts}
-        pairs_b = {(int(i), j) for j, views in enumerate(pat.views_of_point) for i in views}
-        assert pairs_a == pairs_b
 
 
 class TestNormalizeEuclidean:

@@ -1,9 +1,13 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from tracksfm import autodiff as ad
+from tracksfm import train as train_mod
 from tracksfm.autodiff import NumericError
-from tracksfm.network import ModelParams, NetConfig
+from tracksfm.network import ModelParams, NetConfig, param_shapes
 from tracksfm.objective import loss
 from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
 from tracksfm.train import (
@@ -225,6 +229,20 @@ class TestTrainLoop:
             np.testing.assert_array_equal(back.adam_m[name],
                                           res.checkpoint.adam_m[name])
 
+    def test_restore_draws_no_init(self, monkeypatch):
+        """Restoring builds the parameters from the stored buffers alone."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=9)
+        ckpt = train_loop([scene], [], tiny_train_cfg(epochs=1)).checkpoint
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("init_params called on restore")
+        monkeypatch.setattr(train_mod, "init_params", no_init)
+        params = ckpt.restore_params()
+        assert list(params.tensors) == list(param_shapes(TINY_NET))
+        for name, values in ckpt.param_values.items():
+            np.testing.assert_array_equal(params[name].values, values)
+            assert params[name].values is not values
+
     def test_validation_tracks_best(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=10)
         res = train_loop([scene], [scene], tiny_train_cfg(epochs=10))
@@ -278,3 +296,58 @@ class TestTrainLoop:
         train_loop([scene_n], [], cfg, iteration_callback=cb)
         assert all(10 <= s <= 20 for s in sizes)
         assert len(set(sizes)) > 1
+
+
+class TestCheckpointFile:
+    """load_checkpoint rejects files that do not match the configured network."""
+
+    @pytest.fixture
+    def ckpt_bytes(self, tmp_path):
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=9)
+        path = tmp_path / "c.bin"
+        save_checkpoint(train_loop([scene], [], tiny_train_cfg(epochs=1)).checkpoint, path)
+        return path.read_bytes()
+
+    @staticmethod
+    def load_bytes(tmp_path, data):
+        path = tmp_path / "edited.bin"
+        path.write_bytes(data)
+        return load_checkpoint(path)
+
+    @staticmethod
+    def with_header(data, edit):
+        (hlen,) = struct.unpack("<Q", data[8:16])
+        header = json.loads(data[16:16 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode("utf-8")
+        return data[:8] + struct.pack("<Q", len(blob)) + blob + data[16 + hlen:]
+
+    def test_unchanged_loads(self, tmp_path, ckpt_bytes):
+        assert self.load_bytes(tmp_path, ckpt_bytes).iteration == 1
+
+    def test_renamed_parameter(self, tmp_path, ckpt_bytes):
+        def rename(header):
+            header["params"][0][0] = "embed.w_renamed"
+        with pytest.raises(ValueError, match="do not match"):
+            self.load_bytes(tmp_path, self.with_header(ckpt_bytes, rename))
+
+    def test_reshaped_parameter(self, tmp_path, ckpt_bytes):
+        def reshape(header):
+            header["params"][0][1] = [4]             # embed.w is (2, 2)
+        with pytest.raises(ValueError, match="do not match"):
+            self.load_bytes(tmp_path, self.with_header(ckpt_bytes, reshape))
+
+    def test_config_disagrees_with_shapes(self, tmp_path, ckpt_bytes):
+        def widen(header):
+            header["train_config"]["net"]["d_v"] = 32
+        with pytest.raises(ValueError, match="do not match"):
+            self.load_bytes(tmp_path, self.with_header(ckpt_bytes, widen))
+
+    @pytest.mark.parametrize("keep", [12, -8])        # inside the length field, the last buffer
+    def test_truncated(self, tmp_path, ckpt_bytes, keep):
+        with pytest.raises(ValueError, match="truncated"):
+            self.load_bytes(tmp_path, ckpt_bytes[:keep])
+
+    def test_trailing_bytes(self, tmp_path, ckpt_bytes):
+        with pytest.raises(ValueError, match="trailing"):
+            self.load_bytes(tmp_path, ckpt_bytes + b"\0")
