@@ -17,6 +17,7 @@ under another kernel or thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,17 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    def _add_grad(self, g: np.ndarray) -> None:
+    def _add_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Accumulate an adjoint. `owned` marks an array the caller has just
+        allocated and holds no other reference to; it becomes the buffer
+        without a copy. Anything else (the output adjoint passed through,
+        or a view of it) is copied, so no two tensors share a buffer."""
         if self.grad is None:
-            if g.shape == self.values.shape:
-                self.grad = g.copy()
-            else:
+            if g.shape != self.values.shape:
                 self.grad = np.zeros_like(self.values)
                 self.grad += g
+            else:
+                self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
@@ -150,7 +155,7 @@ def backward(root: Tensor, params=None, accumulate: bool = False) -> None:
         raise RuntimeError("backward already ran through this root; pass accumulate=True to add")
     root._done = True
     tape = Tape.trace(root)
-    root._add_grad(np.ones_like(root.values))
+    root._add_grad(np.ones_like(root.values), owned=True)
     for node in reversed(tape.nodes):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
@@ -174,7 +179,8 @@ def zero_grads(params) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes that numpy broadcasting expanded."""
+    """Sum a gradient over the axes that numpy broadcasting expanded. The
+    result is g itself when nothing was expanded, else a new array."""
     if g.shape == shape:
         return g
     extra = g.ndim - len(shape)
@@ -186,6 +192,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
+def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = sum of values[k] over k with index[k] == i, of shape
+    (size,) + values.shape[1:] (a plain-array helper, not a primitive).
+
+    Rows are summed in input order, starting from zero, so the result is
+    bit-identical to np.add.at into zeros. Up to 2**15 values take one
+    np.bincount over (row, column) cells; larger inputs take one per
+    column, which keeps the index temporary at one entry per row (BA
+    scatters 36-wide blocks of ~15k rows).
+    """
+    width = math.prod(values.shape[1:])
+    flat = values.reshape(len(values), width)
+    if 0 < flat.size <= 2**15:     # (np.bincount of nothing is int64)
+        cells = (index[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(cells, weights=flat.ravel(), minlength=size * width)
+    else:
+        out = np.empty((size, width))
+        for k, col in enumerate(flat.T):
+            out[:, k] = np.bincount(index, weights=col, minlength=size)
+    return out.reshape((size,) + values.shape[1:])
+
+
 # -- primitives ----------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
@@ -193,7 +221,7 @@ def add(a: Tensor, b) -> Tensor:
         b_values = np.asarray(b, dtype=np.float64)
         out = Tensor(a.values + b_values, _parents=(a,),
                      _vjp=None)
-        out._vjp = lambda g: a._add_grad(_unbroadcast(g, a.values.shape))
+        out._vjp = lambda g: _add_passed(a, g)
         return out
     try:
         values = a.values + b.values
@@ -203,18 +231,25 @@ def add(a: Tensor, b) -> Tensor:
 
     def vjp(g):
         if a._needs:
-            a._add_grad(_unbroadcast(g, a.values.shape))
+            _add_passed(a, g)
         if b._needs:
-            b._add_grad(_unbroadcast(g, b.values.shape))
+            _add_passed(b, g)
     out._vjp = vjp
     return out
+
+
+def _add_passed(t: Tensor, g: np.ndarray) -> None:
+    """Push an output adjoint through unchanged, up to broadcasting."""
+    r = _unbroadcast(g, t.values.shape)
+    t._add_grad(r, owned=r is not g)
 
 
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         b_values = np.asarray(b, dtype=np.float64)
         out = Tensor(a.values * b_values, _parents=(a,))
-        out._vjp = lambda g: a._add_grad(_unbroadcast(g * b_values, a.values.shape))
+        out._vjp = lambda g: a._add_grad(_unbroadcast(g * b_values, a.values.shape),
+                                         owned=True)
         return out
     try:
         values = a.values * b.values
@@ -224,9 +259,9 @@ def mul(a: Tensor, b) -> Tensor:
 
     def vjp(g):
         if a._needs:
-            a._add_grad(_unbroadcast(g * b.values, a.values.shape))
+            a._add_grad(_unbroadcast(g * b.values, a.values.shape), owned=True)
         if b._needs:
-            b._add_grad(_unbroadcast(g * a.values, b.values.shape))
+            b._add_grad(_unbroadcast(g * a.values, b.values.shape), owned=True)
     out._vjp = vjp
     return out
 
@@ -242,9 +277,10 @@ def div(a: Tensor, b) -> Tensor:
 
     def vjp(g):
         if a._needs:
-            a._add_grad(_unbroadcast(g / b.values, a.values.shape))
+            a._add_grad(_unbroadcast(g / b.values, a.values.shape), owned=True)
         if b._needs:
-            b._add_grad(_unbroadcast(-g * a.values / (b.values * b.values), b.values.shape))
+            b._add_grad(_unbroadcast(-g * a.values / (b.values * b.values), b.values.shape),
+                        owned=True)
     out._vjp = vjp
     return out
 
@@ -256,9 +292,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a._needs:
-            a._add_grad(g @ b.values.T)
+            a._add_grad(g @ b.values.T, owned=True)
         if b._needs:
-            b._add_grad(a.values.T @ g)
+            b._add_grad(a.values.T @ g, owned=True)
     out._vjp = vjp
     return out
 
@@ -292,9 +328,9 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(t.values[idx], _parents=(t,))
 
     def vjp(g):
-        buf = np.zeros_like(t.values)
-        buf[idx] = g
-        t._add_grad(buf)
+        if t.grad is None:
+            t.grad = np.zeros_like(t.values)
+        t.grad[idx] += g
     out._vjp = vjp
     return out
 
@@ -306,11 +342,8 @@ def gather(t: Tensor, index: np.ndarray) -> Tensor:
         raise SegmentIndexError("gather index out of range")
     out = Tensor(t.values[index], _parents=(t,))
 
-    def vjp(g):
-        buf = np.zeros_like(t.values)
-        np.add.at(buf, index, g)
-        t._add_grad(buf)
-    out._vjp = vjp
+    n_rows = t.values.shape[0]
+    out._vjp = lambda g: t._add_grad(scatter_add(index, g, n_rows), owned=True)
     return out
 
 
@@ -322,10 +355,8 @@ def segment_sum(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
         raise SegmentIndexError("segment index must have one entry per row")
     if index.size and (index.min() < 0 or index.max() >= num_segments):
         raise SegmentIndexError("segment index out of range")
-    values = np.zeros((num_segments,) + t.values.shape[1:], dtype=np.float64)
-    np.add.at(values, index, t.values)
-    out = Tensor(values, _parents=(t,))
-    out._vjp = lambda g: t._add_grad(g[index])
+    out = Tensor(scatter_add(index, t.values, num_segments), _parents=(t,))
+    out._vjp = lambda g: t._add_grad(g[index], owned=True)
     return out
 
 
@@ -346,15 +377,12 @@ def segment_softmax(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     mx = np.full((num_segments,) + tail, -np.inf)
     np.maximum.at(mx, index, t.values)
     ex = np.exp(t.values - mx[index])
-    denom = np.zeros((num_segments,) + tail, dtype=np.float64)
-    np.add.at(denom, index, ex)
-    alpha = ex / denom[index]
+    alpha = ex / scatter_add(index, ex, num_segments)[index]
     out = Tensor(alpha, _parents=(t,))
 
     def vjp(g):
-        inner = np.zeros((num_segments,) + tail, dtype=np.float64)
-        np.add.at(inner, index, g * alpha)
-        t._add_grad(alpha * (g - inner[index]))
+        inner = scatter_add(index, g * alpha, num_segments)
+        t._add_grad(alpha * (g - inner[index]), owned=True)
     out._vjp = vjp
     return out
 
@@ -362,14 +390,14 @@ def segment_softmax(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
     pos = t.values > 0
     out = Tensor(np.where(pos, t.values, slope * t.values), _parents=(t,))
-    out._vjp = lambda g: t._add_grad(np.where(pos, g, slope * g))
+    out._vjp = lambda g: t._add_grad(np.where(pos, g, slope * g), owned=True)
     return out
 
 
 def relu(t: Tensor) -> Tensor:
     pos = t.values > 0
     out = Tensor(np.where(pos, t.values, 0.0), _parents=(t,))
-    out._vjp = lambda g: t._add_grad(np.where(pos, g, 0.0))
+    out._vjp = lambda g: t._add_grad(np.where(pos, g, 0.0), owned=True)
     return out
 
 
@@ -386,7 +414,7 @@ def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
     def vjp(g):
         g_mean = g.mean(axis=-1, keepdims=True)
         gy_mean = (g * y).mean(axis=-1, keepdims=True)
-        t._add_grad(inv * (g - g_mean - y * gy_mean))
+        t._add_grad(inv * (g - g_mean - y * gy_mean), owned=True)
     out._vjp = vjp
     return out
 
@@ -394,7 +422,7 @@ def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
 def sqrt(t: Tensor) -> Tensor:
     values = np.sqrt(t.values)
     out = Tensor(values, _parents=(t,))
-    out._vjp = lambda g: t._add_grad(g * 0.5 / values)
+    out._vjp = lambda g: t._add_grad(g * 0.5 / values, owned=True)
     return out
 
 
@@ -406,9 +434,9 @@ def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         if a._needs:
-            a._add_grad(_unbroadcast(np.where(mask, g, 0.0), a.values.shape))
+            a._add_grad(_unbroadcast(np.where(mask, g, 0.0), a.values.shape), owned=True)
         if b._needs:
-            b._add_grad(_unbroadcast(np.where(mask, 0.0, g), b.values.shape))
+            b._add_grad(_unbroadcast(np.where(mask, 0.0, g), b.values.shape), owned=True)
     out._vjp = vjp
     return out
 
@@ -425,7 +453,7 @@ def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        t._add_grad(np.broadcast_to(g, t.values.shape).copy())
+        t._add_grad(np.broadcast_to(g, t.values.shape))
     out._vjp = vjp
     return out
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import scatter_add
 from .network import Reconstruction
 from .rotations import matrix_to_quat, quat_multiply, quat_normalize, quat_to_matrix
 from .scene import (DEPTH_GUARD, EUCLIDEAN, PROJECTIVE, NormalizationRecord, Scene,
@@ -224,14 +225,6 @@ class _NormalBlocks:
     pi: np.ndarray
 
 
-def _scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """out[i] = sum of values[k] over k with index[k] == i, out of shape
-    (size,) + values.shape[1:]; rows are summed in input order."""
-    flat = values.reshape(len(values), -1)
-    out = np.stack([np.bincount(index, weights=col, minlength=size) for col in flat.T], axis=1)
-    return out.reshape((size,) + values.shape[1:])
-
-
 def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     m, n = scene.num_views, scene.num_points
     r, z = _residuals(scene, state.matrices(), state.points)
@@ -252,10 +245,10 @@ def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     rw = r[usable] * w[:, None]
     vi_u, pi_u = scene.view_idx[usable], scene.point_idx[usable]
 
-    U = _scatter_add(vi_u, np.einsum("kab,kac->kbc", Jc, Jc), m)
-    V = _scatter_add(pi_u, np.einsum("kab,kac->kbc", Jp, Jp), n)
-    gc = _scatter_add(vi_u, np.einsum("kab,ka->kb", Jc, rw), m)
-    gp = _scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
+    U = scatter_add(vi_u, np.einsum("kab,kac->kbc", Jc, Jc), m)
+    V = scatter_add(pi_u, np.einsum("kab,kac->kbc", Jp, Jp), n)
+    gc = scatter_add(vi_u, np.einsum("kab,ka->kb", Jc, rw), m)
+    gp = scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
     W = Jc.transpose(0, 2, 1) @ Jp
     return _NormalBlocks(U=U, V=V, W=W, gc=gc, gp=gp, vi=vi_u, pi=pi_u)
 
@@ -309,7 +302,7 @@ def solve_schur_step(nb: _NormalBlocks, lam: float, m: int, n: int,
     S.reshape(m, dc, m, dc)[cams, :, cams] += Ud
 
     delta_c = np.linalg.solve(S, rhs).reshape(m, dc)
-    resid_p = -nb.gp - _scatter_add(pi, np.einsum("kab,ka->kb", W, delta_c[vi]), n)
+    resid_p = -nb.gp - scatter_add(pi, np.einsum("kab,ka->kb", W, delta_c[vi]), n)
     delta_p = np.einsum("kab,kb->ka", Vinv, resid_p)
     return delta_c, delta_p
 
@@ -404,6 +397,7 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
         raise ValueError("reconstruction mode does not match scene mode")
     if recon.points.shape[0] != scene.num_points:
         raise ValueError("reconstruction has wrong number of points")
+    _check_camera_count(scene, recon)
     state = _EuclideanState(recon) if recon.mode == EUCLIDEAN else _ProjectiveState(recon)
     diagnostics = BaDiagnostics()
     for rnd in range(cfg.rounds):
@@ -496,12 +490,19 @@ class MetricsReport:
         }
 
 
+def _check_camera_count(scene: Scene, recon: Reconstruction) -> None:
+    if recon.num_views != scene.num_views:
+        raise ValueError(f"reconstruction has {recon.num_views} cameras, "
+                         f"scene has {scene.num_views} views")
+
+
 def reprojection_errors_px(scene: Scene, recon: Reconstruction,
                            record: NormalizationRecord | None = None) -> np.ndarray:
     """Per-observation reprojection distance in pixel units, recovered by
     mapping both measured and projected points back through the
     normalization record (identity when none is given). Observations whose
     projection falls under the projector's depth guard read inf."""
+    _check_camera_count(scene, recon)
     xy, _ = project(camera_matrices(recon), recon.points, scene.view_idx, scene.point_idx)
     guarded = np.isinf(xy[:, 0])
     if record is None:

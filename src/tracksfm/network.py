@@ -326,20 +326,26 @@ def update_proj_feats(p_prev: Tensor | None, p_in: Tensor, v: Tensor, s: Tensor,
                       pv) -> Tensor:
     """Pointwise update: each projection collects its view, point, and the
     global features (no aggregation), and a shared feed-forward layer maps
-    the concatenation back to the projection width. The previous projection
-    features act as the residual; at the first layer there are none."""
+    them back to the projection width. The previous projection features act
+    as the residual; at the first layer there are none.
+
+    The layer is ffn([v[view] || s[point] || g || p]), evaluated without
+    forming that concatenation: `ffn.w` is split by rows into the view,
+    point, global and projection blocks, each feature is multiplied by its
+    block at its own row count (m views, n points, one global row), and
+    only the d_p-wide products are gathered onto the observations.
+    """
     vn = ad.relu(_ln_affine(v, pv, "ln_v"))
     sn = ad.relu(_ln_affine(s, pv, "ln_s"))
     gn = ad.relu(_ln_affine(g, pv, "ln_g"))
     pn = ad.relu(_ln_affine(p_in, pv, "ln_p"))
-    n_obs = p_in.shape[0]
-    z = ad.concat([
-        ad.gather(vn, view_idx),
-        ad.gather(sn, point_idx),
-        ad.gather(gn, np.zeros(n_obs, dtype=np.int64)),
-        pn,
-    ], axis=1)
-    delta = _linear(z, pv, "ffn")
+    w = pv["ffn.w"]
+    d_v, d_s, d_g = vn.shape[1], sn.shape[1], gn.shape[1]
+    per_view = ad.matmul(vn, ad.narrow(w, 0, 0, d_v))                       # (m, d_p)
+    per_point = ad.matmul(sn, ad.narrow(w, 0, d_v, d_s))                    # (n, d_p)
+    shared = ad.matmul(gn, ad.narrow(w, 0, d_v + d_s, d_g)) + pv["ffn.b"]   # (1, d_p)
+    own = ad.matmul(pn, ad.narrow(w, 0, d_v + d_s + d_g, pn.shape[1]))      # (N, d_p)
+    delta = ad.gather(per_view, view_idx) + ad.gather(per_point, point_idx) + shared + own
     return p_prev + delta if p_prev is not None else delta
 
 

@@ -117,15 +117,14 @@ def normalize_param_grads(params) -> float:
     unchanged; non-finite gradients are an error.
     """
     tensors = params.tensors.values() if hasattr(params, "tensors") else params
-    tensors = list(tensors)
-    for t in tensors:
-        if t.grad is not None and not np.isfinite(t.grad).all():
-            raise NumericError("non-finite gradient")
-    sq = sum(float(np.dot(t.grad.ravel(), t.grad.ravel()))
-             for t in tensors if t.grad is not None)
+    grads = [t.grad for t in tensors if t.grad is not None]
+    sq = sum(float(np.dot(g.ravel(), g.ravel())) for g in grads)
+    # A NaN or Inf entry makes the sum non-finite; only then is it worth a
+    # scan. A finite gradient whose squares overflow keeps norm = inf.
+    if not np.isfinite(sq) and not all(np.isfinite(g).all() for g in grads):
+        raise NumericError("non-finite gradient")
     norm = float(np.sqrt(sq))
     if norm > 0.0:
-        for t in tensors:
-            if t.grad is not None:
-                t.grad /= norm
+        for g in grads:
+            g /= norm
     return norm

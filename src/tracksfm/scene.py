@@ -133,6 +133,8 @@ class Scene:
                       "gt_centers": (rows, 3), "gt_points": (rows, 3)}[name]
             if arr.shape != expect:
                 raise MalformedSceneError(f"{name} has shape {arr.shape}, expected {expect}")
+            if not np.isfinite(arr).all():
+                raise MalformedSceneError(f"{name} must be finite")
             object.__setattr__(self, name, _freeze(arr))
         if (self.gt_quats is None) != (self.gt_centers is None):
             raise MalformedSceneError("gt poses need both quaternions and centers")

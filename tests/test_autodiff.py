@@ -175,6 +175,67 @@ class TestBackward:
         np.testing.assert_array_equal(run(), run())
 
 
+class TestScatterAdd:
+    @pytest.mark.parametrize("shape", [(7, 3), (20, 1024), (50, 6, 6), (3000, 16),
+                                       (0, 3), (5, 0)])
+    def test_bit_identical_to_add_at(self, rng, shape):
+        """Both the one-bincount path (small inputs) and the per-column
+        path add rows in input order; magnitudes spread over 16 decades
+        make any other order show."""
+        index = rng.integers(0, 11, size=shape[0])
+        scale = 10.0 ** rng.integers(-8, 8, size=(shape[0],) + (1,) * (len(shape) - 1))
+        values = rng.normal(size=shape) * scale
+        expect = np.zeros((11,) + shape[1:])
+        np.add.at(expect, index, values)
+        got = ad.scatter_add(index, values, 11)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expect)
+
+
+def assert_distinct_grads(*leaves):
+    for i, a in enumerate(leaves):
+        for b in leaves[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad)
+
+
+class TestGradientBuffers:
+    """Adjoints passed through unchanged (add, reshape, concat slices) are
+    copied into a leaf's buffer, while freshly computed ones are kept; each
+    case must still match central differences, with no shared buffers."""
+
+    def test_self_add(self, rng):
+        x = ad.parameter(rng.normal(size=(3, 4)))
+        c = ad.constant(rng.normal(size=(3, 4)))
+        fd_check(lambda: ad.tsum((x + x) * c), {"x": x})
+        np.testing.assert_array_equal(x.grad, 2.0 * c.values)
+
+    def test_add_then_reuse(self, rng):
+        a = ad.parameter(rng.normal(size=(4, 3)))
+        b = ad.parameter(rng.normal(size=(4, 3)))
+        c = ad.constant(rng.normal(size=(4, 3)))
+
+        def build():
+            y = a + b                        # both parents receive the same adjoint
+            return ad.tsum(y * c) + ad.tsum(ad.matmul(a, ad.reshape(a, (3, 4))))
+        fd_check(build, {"a": a, "b": b})
+        assert_distinct_grads(a, b)
+        np.testing.assert_array_equal(b.grad, c.values)
+
+    def test_reshape_and_narrow_of_shared_leaf(self, rng):
+        x = ad.parameter(rng.normal(size=(4, 6)))
+        y = ad.parameter(rng.normal(size=(24,)))
+        w = ad.constant(rng.normal(size=(24,)))
+
+        def build():
+            flat = ad.reshape(x, (24,)) + y
+            left = ad.narrow(x, 1, 0, 4)
+            mid = ad.narrow(x, 1, 2, 3)
+            return (ad.tsum(flat * w) + ad.tsum(left * left)
+                    + ad.tsum(ad.matmul(mid, ad.reshape(ad.narrow(y, 0, 3, 6), (3, 2)))))
+        fd_check(build, {"x": x, "y": y})
+        assert_distinct_grads(x, y)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):

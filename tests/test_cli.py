@@ -189,6 +189,33 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("command", ["ba", "eval"])
+    def test_camera_count_mismatch_is_2(self, runner, tmp_path, command):
+        """A reconstruction with 5 cameras for a 6-view scene."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon = gt_reconstruction(load_scene(scene_path))
+        recon.quats, recon.centers = recon.quats[:5], recon.centers[:5]
+        recon_path = tmp_path / "five.json"
+        save_reconstruction(recon, recon_path)
+        result = runner.invoke(main, [command, "--scene", str(scene_path), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "5 cameras" in result.output and "6 views" in result.output
+
+    def test_eval_nonfinite_ground_truth_is_2(self, runner, tmp_path):
+        """A NaN ground-truth center is rejected by name when the scene is read."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        doc = json.loads(scene_path.read_text())
+        doc["gt_poses"][2]["c"][1] = float("nan")
+        bad = tmp_path / "nan_gt.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--scene", str(bad), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert "gt_centers must be finite" in result.output
+
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)
         scene = load_scene(scene_path)

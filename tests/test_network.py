@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tracksfm import autodiff as ad
+from tracksfm import network
 from tracksfm.network import (
     IsolatedNodeError,
     LayerNumericError,
@@ -354,6 +355,77 @@ class TestUpdateProcedures:
                                 ad.constant(rng.normal(size=(1, TINY.d_g))),
                                 np.array([0, 0, 1, 1]), np.arange(4), pv)
         np.testing.assert_array_equal(out.values, p_prev.values)
+
+
+def proj_update_concat_oracle(p_prev, p_in, v, s, g, view_idx, point_idx, pv):
+    """The projection update as written in the model's definition: gather
+    every feature onto the observations, concatenate, then one linear map."""
+    def norm(x, name):
+        sub = pv.sub(name)
+        return ad.relu(ad.layer_norm(x, 1e-5) * sub["g"] + sub["b"])
+    z = ad.concat([
+        ad.gather(norm(v, "ln_v"), view_idx),
+        ad.gather(norm(s, "ln_s"), point_idx),
+        ad.gather(norm(g, "ln_g"), np.zeros(p_in.shape[0], dtype=np.int64)),
+        norm(p_in, "ln_p"),
+    ], axis=1)
+    delta = ad.matmul(z, pv["ffn.w"]) + pv["ffn.b"]
+    return p_prev + delta if p_prev is not None else delta
+
+
+class TestProjUpdateAgainstConcat:
+    """update_proj_feats multiplies each feature by its block of ffn.w
+    before gathering; the concatenated form is the oracle."""
+
+    @pytest.mark.parametrize("mode", ["euclidean", "projective"])
+    def test_forward_matches_oracle(self, monkeypatch, mode):
+        net = NetConfig(layers=2, d_p=8, d_v=16, d_s=8, d_g=16, mode=mode)
+        params = init_params(net, seed=1)
+        rng = np.random.default_rng(2024)
+        outputs = ("quats", "centers", "points") if mode == "euclidean" else ("matrices", "points")
+        for trial in range(10):
+            scene, _, _ = make_scene(num_views=int(rng.integers(3, 9)),
+                                     num_points=int(rng.integers(10, 41)),
+                                     visibility=0.8, seed=trial, mode=mode)
+            new = forward(scene, params)
+            with monkeypatch.context() as mp:
+                mp.setattr(network, "update_proj_feats", proj_update_concat_oracle)
+                old = forward(scene, params)
+            for name in outputs:
+                np.testing.assert_allclose(getattr(new, name).values,
+                                           getattr(old, name).values, rtol=0, atol=1e-12)
+
+    def test_gradients(self, rng):
+        params = tiny_params(seed=9)
+        pv = params.view("layer1.proj")
+        view_idx = np.array([0, 0, 1, 2, 2, 1, 0])
+        point_idx = np.array([0, 1, 1, 2, 3, 3, 4])
+        n_obs = len(view_idx)
+        leaves = {
+            "p_prev": ad.parameter(rng.normal(size=(n_obs, TINY.d_p))),
+            "p_in": ad.parameter(rng.normal(size=(n_obs, TINY.d_p + 2))),
+            "v": ad.parameter(rng.normal(size=(3, TINY.d_v))),
+            "s": ad.parameter(rng.normal(size=(5, TINY.d_s))),
+            "g": ad.parameter(rng.normal(size=(1, TINY.d_g))),
+        }
+        weights = {name: params[f"layer1.proj.{name}"]
+                   for name in ("ln_v.g", "ln_s.b", "ln_g.g", "ln_p.b", "ffn.w", "ffn.b")}
+        c = ad.constant(rng.normal(size=(n_obs, TINY.d_p)))
+
+        def objective(update):
+            a = leaves
+            return ad.tsum(update(a["p_prev"], a["p_in"], a["v"], a["s"], a["g"],
+                                  view_idx, point_idx, pv) * c)
+
+        checked = {**leaves, **weights}
+        report = ad.grad_check(lambda: objective(update_proj_feats), checked,
+                               tol=1e-6, max_coords_per_param=40)
+        assert report.passed, report.worst()
+        ours = {name: t.grad.copy() for name, t in checked.items()}
+        ad.zero_grads(checked.values())
+        ad.backward(objective(proj_update_concat_oracle), params=checked.values())
+        for name, t in checked.items():
+            np.testing.assert_allclose(ours[name], t.grad, rtol=0, atol=1e-12)
 
 
 class TestForward:

@@ -214,6 +214,22 @@ class TestNormalizeGradients:
         with pytest.raises(NumericError):
             normalize_param_grads(grad_tensors(a=np.array([1.0, np.nan])).values())
 
+    def test_inf_in_later_tensor_rejected(self):
+        """The sum of squares is not finite, and the scan finds the Inf
+        entry in a tensor other than the first."""
+        tensors = grad_tensors(a=np.ones(3), b=np.array([2.0, -np.inf]))
+        with pytest.raises(NumericError):
+            normalize_param_grads(tensors.values())
+
+    def test_finite_overflow_is_not_an_error(self):
+        """Finite gradients whose squares overflow give norm inf and zero
+        gradients, with no NumericError."""
+        tensors = grad_tensors(a=np.array([1e200, -1e200]), b=np.array([3.0]))
+        with np.errstate(over="ignore"):
+            assert normalize_param_grads(tensors.values()) == np.inf
+        np.testing.assert_array_equal(tensors["a"].grad, np.zeros(2))
+        np.testing.assert_array_equal(tensors["b"].grad, np.zeros(1))
+
     def test_descent_direction_invariance(self, rng):
         """One plain gradient step moves in the identical direction with
         and without normalization."""

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,14 @@ class TestLoadScene:
         doc["observations"] = MINIMAL["observations"][:3] + [[1, 1, 0.7, bad]]
         with pytest.raises(MalformedSceneError, match="finite"):
             load_scene(write_scene_json(tmp_path, doc))
+
+    @pytest.mark.parametrize("field", ["intrinsics", "gt_quats", "gt_centers", "gt_points"])
+    def test_nonfinite_field(self, field):
+        _, raw, _ = make_scene(seed=1)
+        bad = getattr(raw, field).copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(MalformedSceneError, match=f"{field} must be finite"):
+            replace(raw, **{field: bad})
 
     @pytest.mark.parametrize("field", ["num_views", "num_points"])
     def test_negative_size(self, tmp_path, field):
