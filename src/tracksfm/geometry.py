@@ -22,16 +22,19 @@ class DegenerateConfigError(ValueError):
     """Camera configuration too degenerate for similarity alignment."""
 
 
+# Levenberg-Marquardt damping schedule and stopping tolerances.
+LM_LAMBDA_INIT = 1e-3
+LM_LAMBDA_SCALE = 10.0
+LM_LAMBDA_MAX = 1e12
+REL_DECREASE_TOL = 1e-12
+GRAD_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class BaConfig:
     huber_threshold: float = 0.1          # normalized units
     max_iters_per_round: int = 100
     rounds: int = 2                        # interleaved with triangulation
-    lm_lambda_init: float = 1e-3
-    lm_lambda_scale: float = 10.0
-    lm_lambda_max: float = 1e12
-    rel_decrease_tol: float = 1e-12
-    grad_tol: float = 1e-12
 
     def __post_init__(self):
         if self.huber_threshold <= 0 or self.rounds < 1:
@@ -127,8 +130,6 @@ class _EuclideanState:
     """Camera = (quat, center), 6 local dof: axis-angle increment composed
     on the left of the rotation, plus a center offset."""
 
-    dof = 6
-
     def __init__(self, recon: Reconstruction):
         self.quats = recon.quats.copy()
         self.centers = recon.centers.copy()
@@ -170,8 +171,6 @@ class _EuclideanState:
 class _ProjectiveState:
     """Camera = 3x4 matrix, 12 raw dof; the scale/sign gauge is fixed by
     renormalizing after each accepted step (the objective is invariant)."""
-
-    dof = 12
 
     def __init__(self, recon: Reconstruction):
         self.P = recon.matrices.copy()
@@ -268,13 +267,14 @@ def _damped(blocks: np.ndarray, lam: float) -> np.ndarray:
 SCHUR_SLICE = 128
 
 
-def solve_schur_step(nb: _NormalBlocks, lam: float, m: int, n: int,
-                     dc: int) -> tuple[np.ndarray, np.ndarray]:
+def solve_schur_step(nb: _NormalBlocks, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Solve the damped normal equations by eliminating the point blocks.
 
     Returns (delta_cameras (m, dc), delta_points (n, 3)); raises
     numpy.linalg.LinAlgError when the reduced system cannot be solved.
     """
+    m, dc = nb.U.shape[:2]
+    n = len(nb.V)
     Ud = _damped(nb.U, lam)
     Vinv = np.linalg.inv(_damped(nb.V, lam))
     order = np.argsort(nb.pi, kind="stable")
@@ -307,11 +307,12 @@ def solve_schur_step(nb: _NormalBlocks, lam: float, m: int, n: int,
     return delta_c, delta_p
 
 
-def solve_dense_step(nb: _NormalBlocks, lam: float, m: int, n: int,
-                     dc: int) -> tuple[np.ndarray, np.ndarray]:
+def solve_dense_step(nb: _NormalBlocks, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Assemble and solve the full damped normal equations without
     elimination: the correctness oracle for the Schur path on tiny
     problems."""
+    m, dc = nb.U.shape[:2]
+    n = len(nb.V)
     size = m * dc + 3 * n
     H = np.zeros((size, size))
     g = np.zeros(size)
@@ -335,9 +336,7 @@ def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) ->
     """One Levenberg-Marquardt round; mutates state in place. Steps are
     accepted only when the true robust objective decreases, so the recorded
     trace is strictly decreasing."""
-    m, n = scene.num_views, scene.num_points
-    dc = state.dof
-    lam = cfg.lm_lambda_init
+    lam = LM_LAMBDA_INIT
 
     r, _ = _residuals(scene, state.matrices(), state.points)
     obj = _robust_objective(r, cfg.huber_threshold)
@@ -351,15 +350,15 @@ def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) ->
     for _ in range(cfg.max_iters_per_round):
         nb = _build_normal_blocks(scene, state, cfg)
         ginf = max(np.abs(nb.gc).max(initial=0.0), np.abs(nb.gp).max(initial=0.0))
-        if ginf < cfg.grad_tol:
+        if ginf < GRAD_TOL:
             return
 
         accepted = False
-        while lam <= cfg.lm_lambda_max:
+        while lam <= LM_LAMBDA_MAX:
             try:
-                delta_c, delta_p = solve_schur_step(nb, lam, m, n, dc)
+                delta_c, delta_p = solve_schur_step(nb, lam)
             except np.linalg.LinAlgError:
-                lam *= cfg.lm_lambda_scale
+                lam *= LM_LAMBDA_SCALE
                 continue
             snap = state.snapshot()
             state.apply_cam_step(delta_c)
@@ -367,16 +366,16 @@ def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) ->
             r_new, _ = _residuals(scene, state.matrices(), state.points)
             new_obj = _robust_objective(r_new, cfg.huber_threshold)
             if np.isfinite(new_obj) and new_obj < obj:
-                lam = max(lam / cfg.lm_lambda_scale, 1e-15)
+                lam = max(lam / LM_LAMBDA_SCALE, 1e-15)
                 rel = (obj - new_obj) / max(obj, 1e-300)
                 obj = new_obj
                 trace.append(obj)
                 accepted = True
-                if rel < cfg.rel_decrease_tol:
+                if rel < REL_DECREASE_TOL:
                     return
                 break
             state.restore(snap)
-            lam *= cfg.lm_lambda_scale
+            lam *= LM_LAMBDA_SCALE
         if not accepted:
             diagnostics.converged = False
             diagnostics.message = "damping escalation exhausted"

@@ -29,10 +29,6 @@ LN_EPS = 1e-5
 NUM_HEADS = 4
 
 
-class IsolatedNodeError(ValueError):
-    """An attention target has no incoming edge."""
-
-
 class LayerNumericError(ad.NumericError):
     """Non-finite feature values, tagged with the layer that produced them."""
 
@@ -233,35 +229,35 @@ def _linear(x: Tensor, pv, name: str) -> Tensor:
     return ad.matmul(x, sub["w"]) + sub["b"]
 
 
-def gatv2_attention(src: Tensor, tgt: Tensor, edge_src: np.ndarray,
-                    edge_tgt: np.ndarray, n_tgt: int, pv,
-                    return_weights: bool = False):
+def gatv2_attention(src: Tensor, tgt: Tensor, edge_tgt: np.ndarray, n_tgt: int,
+                    pv, return_weights: bool = False):
     """Attention aggregation over a directed bipartite edge set.
 
-    Per head, the edge score is a . leaky_relu(W [h_tgt || h_src]); scores
-    are softmax-normalized over each target's in-edges and weight the
+    Row e of `src` is the source of edge e, which points into target
+    `edge_tgt[e]`. Per head, the edge score is a . leaky_relu(W [h_tgt ||
+    h_src]); scores are softmax-normalized over each target's in-edges
+    (a target without one raises SegmentIndexError) and weight the
     source-side linear projections. Head outputs are concatenated. With
     return_weights, also returns the (E, heads) attention distribution.
     """
     d1 = src.shape[1]
     if tgt.shape[1] != d1:
         raise ad.ShapeError(f"gatv2: target dim {tgt.shape[1]} != source dim {d1}")
-    if np.bincount(edge_tgt, minlength=n_tgt).min() == 0:
-        raise IsolatedNodeError("attention target without incoming edges")
+    if src.shape[0] != len(edge_tgt):
+        raise ad.ShapeError(f"gatv2: {src.shape[0]} source rows for {len(edge_tgt)} edges")
     da = _att_dim(d1)
     hd = da // NUM_HEADS
     w = pv["att.w"]
     w_tgt = ad.narrow(w, 0, 0, d1)
     w_src = ad.narrow(w, 0, d1, d1)
-    s_proj = ad.matmul(src, w_src)                      # (n_src, da)
+    s_proj = ad.matmul(src, w_src)                      # (E, da)
     t_proj = ad.matmul(tgt, w_tgt)                      # (n_tgt, da)
-    pre = ad.gather(t_proj, edge_tgt) + ad.gather(s_proj, edge_src)
-    act = ad.leaky_relu(pre, LEAKY_SLOPE)
+    act = ad.leaky_relu(ad.gather(t_proj, edge_tgt) + s_proj, LEAKY_SLOPE)
     heads = ad.reshape(act, (-1, NUM_HEADS, hd))
     a = ad.reshape(pv["att.a"], (1, NUM_HEADS, hd))
     scores = ad.tsum(heads * a, axis=2)                 # (E, heads)
     alpha = ad.segment_softmax(scores, edge_tgt, n_tgt)
-    msg = ad.reshape(ad.gather(s_proj, edge_src), (-1, NUM_HEADS, hd))
+    msg = ad.reshape(s_proj, (-1, NUM_HEADS, hd))
     weighted = msg * ad.reshape(alpha, (-1, NUM_HEADS, 1))
     out = ad.segment_sum(ad.reshape(weighted, (-1, da)), edge_tgt, n_tgt)
     if return_weights:
@@ -269,54 +265,53 @@ def gatv2_attention(src: Tensor, tgt: Tensor, edge_src: np.ndarray,
     return out
 
 
-def graph_cross_attention(h1: Tensor, h2: Tensor | None, edge_src: np.ndarray,
-                          edge_tgt: np.ndarray, n_tgt: int,
-                          d1: int, d2: int, pv) -> Tensor:
-    """Cross-attention wrapper: normalize sources (and targets, when the
-    previous target features exist), project across mismatched dimensions,
-    attend, and project the result back to the target dimension."""
+def graph_cross_attention(h1: Tensor, h2: Tensor | None, edge_tgt: np.ndarray,
+                          n_tgt: int, pv) -> Tensor:
+    """Cross-attention wrapper: normalize the sources (row e of h1 feeds
+    edge e) and the previous targets h2, or use zero queries without them;
+    attend; and apply `proj_in` (targets to the source width) and
+    `proj_out` (attention output to the target width) where `pv` holds
+    them, as `_gca_shapes` decides from the widths."""
     h1n = ad.relu(_ln_affine(h1, pv, "ln_src"))
     if h2 is not None:
-        h2n = ad.relu(_ln_affine(h2, pv, "ln_tgt"))
-        queries = _linear(h2n, pv, "proj_in") if d1 != d2 else h2n
+        queries = ad.relu(_ln_affine(h2, pv, "ln_tgt"))
+        if "proj_in.w" in pv:
+            queries = _linear(queries, pv, "proj_in")
     else:
-        queries = ad.constant(np.zeros((n_tgt, d1)))
-    out = gatv2_attention(h1n, queries, edge_src, edge_tgt, n_tgt, pv)
-    if _att_dim(d1) != d2:
+        queries = ad.constant(np.zeros((n_tgt, h1.shape[1])))
+    out = gatv2_attention(h1n, queries, edge_tgt, n_tgt, pv)
+    if "proj_out.w" in pv:
         out = _linear(out, pv, "proj_out")
     return out
 
 
 def _node_update(p: Tensor, edge_tgt: np.ndarray, n_tgt: int,
-                 prev: Tensor | None, d_src: int, d: int, pv) -> Tensor:
-    edge_src = np.arange(p.shape[0])
-    att = graph_cross_attention(p, prev, edge_src, edge_tgt, n_tgt, d_src, d, pv.sub("gca"))
+                 prev: Tensor | None, pv) -> Tensor:
+    att = graph_cross_attention(p, prev, edge_tgt, n_tgt, pv.sub("gca"))
     h = prev + att if prev is not None else att
     return h + _linear(ad.relu(_ln_affine(h, pv, "ln")), pv, "ffn")
 
 
 def update_view_feats(p: Tensor, view_idx: np.ndarray, num_views: int,
-                      v_prev: Tensor | None, d_src: int, d_v: int, pv) -> Tensor:
+                      v_prev: Tensor | None, pv) -> Tensor:
     """Aggregate each view's projection features into its view feature
     (residual), then apply a residual feed-forward update."""
-    return _node_update(p, view_idx, num_views, v_prev, d_src, d_v, pv)
+    return _node_update(p, view_idx, num_views, v_prev, pv)
 
 
 def update_point_feats(p: Tensor, point_idx: np.ndarray, num_points: int,
-                       s_prev: Tensor | None, d_src: int, d_s: int, pv) -> Tensor:
+                       s_prev: Tensor | None, pv) -> Tensor:
     """Mirror image of update_view_feats over the track columns."""
-    return _node_update(p, point_idx, num_points, s_prev, d_src, d_s, pv)
+    return _node_update(p, point_idx, num_points, s_prev, pv)
 
 
-def update_global_feat(v: Tensor, s: Tensor, g_prev: Tensor | None,
-                       cfg: NetConfig, pv) -> Tensor:
+def update_global_feat(v: Tensor, s: Tensor, g_prev: Tensor | None, pv) -> Tensor:
     """Two independent aggregations (views and points) summed into the
     global vector, followed by a residual feed-forward update."""
-    m, n = v.shape[0], s.shape[0]
-    gv = graph_cross_attention(v, g_prev, np.arange(m), np.zeros(m, dtype=np.int64),
-                               1, cfg.d_v, cfg.d_g, pv.sub("gca_v"))
-    gs = graph_cross_attention(s, g_prev, np.arange(n), np.zeros(n, dtype=np.int64),
-                               1, cfg.d_s, cfg.d_g, pv.sub("gca_s"))
+    gv = graph_cross_attention(v, g_prev, np.zeros(v.shape[0], dtype=np.int64), 1,
+                               pv.sub("gca_v"))
+    gs = graph_cross_attention(s, g_prev, np.zeros(s.shape[0], dtype=np.int64), 1,
+                               pv.sub("gca_s"))
     g = g_prev + gv + gs if g_prev is not None else gv + gs
     return g + _linear(ad.relu(_ln_affine(g, pv, "ln")), pv, "ffn")
 
@@ -435,9 +430,9 @@ def forward(scene: Scene, params: ModelParams) -> ForwardResult:
     p0 = ad.matmul(ad.constant(scene.xy), params["embed.w"]) + params["embed.b"]
     _check_finite(p0, "embedding")
 
-    v = update_view_feats(p0, view_idx, m, None, 2, cfg.d_v, pv("init_view"))
-    s = update_point_feats(p0, point_idx, n, None, 2, cfg.d_s, pv("init_point"))
-    g = update_global_feat(v, s, None, cfg, pv("init_global"))
+    v = update_view_feats(p0, view_idx, m, None, pv("init_view"))
+    s = update_point_feats(p0, point_idx, n, None, pv("init_point"))
+    g = update_global_feat(v, s, None, pv("init_global"))
     _check_finite(g, "initial updates")
 
     p = None
@@ -445,11 +440,10 @@ def forward(scene: Scene, params: ModelParams) -> ForwardResult:
         p_in = p0 if layer == 0 else ad.concat([p, p0], axis=1)
         p = update_proj_feats(p, p_in, v, s, g, view_idx, point_idx,
                               pv(f"layer{layer}.proj"))
-        v = update_view_feats(p, view_idx, m, v, cfg.d_p, cfg.d_v, pv(f"layer{layer}.view"))
-        s = update_point_feats(p, point_idx, n, s, cfg.d_p, cfg.d_s,
-                               pv(f"layer{layer}.point"))
+        v = update_view_feats(p, view_idx, m, v, pv(f"layer{layer}.view"))
+        s = update_point_feats(p, point_idx, n, s, pv(f"layer{layer}.point"))
         if layer < cfg.layers - 1:
-            g = update_global_feat(v, s, g, cfg, pv(f"layer{layer}.global"))
+            g = update_global_feat(v, s, g, pv(f"layer{layer}.global"))
         _check_finite(v, "layer update", layer)
         _check_finite(s, "layer update", layer)
 

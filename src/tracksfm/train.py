@@ -191,8 +191,11 @@ def augment(scene: Scene, rng: np.random.Generator,
 
 # -- artificial outlier injection -------------------------------------------
 
-def inject_outliers(scene: Scene, rate: float, rng: np.random.Generator,
-                    max_rounds: int = 50) -> tuple[Scene, np.ndarray]:
+OUTLIER_SELECTION_ROUNDS = 50   # candidate draw/demote cycles before giving up
+
+
+def inject_outliers(scene: Scene, rate: float,
+                    rng: np.random.Generator) -> tuple[Scene, np.ndarray]:
     """Replace a fraction of the measurements with per-view bivariate
     normal draws fit to the surviving inliers.
 
@@ -221,7 +224,7 @@ def inject_outliers(scene: Scene, rate: float, rng: np.random.Generator,
     fixed = (points_per_view[vi] <= 8) | (views_per_point[pi] <= 2)
 
     chosen = None
-    for _ in range(max_rounds):
+    for _ in range(OUTLIER_SELECTION_ROUNDS):
         pool = np.flatnonzero(~fixed)
         if pool.size < target:
             raise InfeasibleOutlierRateError(

@@ -175,8 +175,8 @@ class TestSchurAgainstDense:
         state = _EuclideanState(perturbed_gt(raw, rng))
         nb = _build_normal_blocks(scene, state, BaConfig())
         for lam in (1e-3, 1e-1, 10.0):
-            dc_s, dp_s = solve_schur_step(nb, lam, 5, 25, 6)
-            dc_d, dp_d = solve_dense_step(nb, lam, 5, 25, 6)
+            dc_s, dp_s = solve_schur_step(nb, lam)
+            dc_d, dp_d = solve_dense_step(nb, lam)
             np.testing.assert_allclose(dc_s, dc_d, atol=1e-9)
             np.testing.assert_allclose(dp_s, dp_d, atol=1e-9)
 
@@ -209,10 +209,9 @@ class TestSchurAgainstDense:
 
         nb = _build_normal_blocks(scene, state, BaConfig())
         assert 0 not in nb.pi and not nb.V[0].any() and not nb.gp[0].any()
-        dc = state.dof
         for lam in (1e-3, 1e-1, 10.0):
-            dc_s, dp_s = solve_schur_step(nb, lam, m, n, dc)
-            dc_d, dp_d = solve_dense_step(nb, lam, m, n, dc)
+            dc_s, dp_s = solve_schur_step(nb, lam)
+            dc_d, dp_d = solve_dense_step(nb, lam)
             np.testing.assert_allclose(dc_s, dc_d, atol=1e-9)
             np.testing.assert_allclose(dp_s, dp_d, atol=1e-9)
 

@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tracksfm import autodiff as ad
 from tracksfm import network
 from tracksfm.network import (
-    IsolatedNodeError,
     LayerNumericError,
     ModelParams,
     NetConfig,
@@ -14,12 +15,14 @@ from tracksfm.network import (
     graph_cross_attention,
     init_params,
     normalize_camera_matrices,
+    param_shapes,
     parameter_count,
     update_global_feat,
     update_point_feats,
     update_proj_feats,
     update_view_feats,
 )
+from tracksfm.objective import loss
 
 from conftest import make_scene
 
@@ -119,7 +122,7 @@ class TestGatv2Attention:
         pv = make_gat_params(d)
         src = ad.constant(rng.normal(size=(1, d)))
         tgt = ad.constant(rng.normal(size=(1, d)))
-        out = gatv2_attention(src, tgt, np.array([0]), np.array([0]), 1, pv)
+        out = gatv2_attention(src, tgt, np.array([0]), 1, pv)
         expected = src.values @ pv["att.w"].values[d:]
         np.testing.assert_allclose(out.values, expected, atol=1e-14)
 
@@ -129,8 +132,8 @@ class TestGatv2Attention:
         feat = rng.normal(size=(1, d))
         src = ad.constant(np.vstack([feat, feat]))
         tgt = ad.constant(rng.normal(size=(1, d)))
-        _, alpha = gatv2_attention(src, tgt, np.array([0, 1]), np.array([0, 0]),
-                                   1, pv, return_weights=True)
+        _, alpha = gatv2_attention(src, tgt, np.array([0, 0]), 1, pv,
+                                   return_weights=True)
         np.testing.assert_allclose(alpha.values, 0.5, atol=1e-15)
 
     def test_weights_are_distribution(self, rng):
@@ -138,10 +141,8 @@ class TestGatv2Attention:
         pv = make_gat_params(d, seed=3)
         src = ad.constant(rng.normal(size=(6, d)))
         tgt = ad.constant(rng.normal(size=(2, d)))
-        edge_src = np.array([0, 1, 2, 3, 4, 5])
         edge_tgt = np.array([0, 0, 0, 1, 1, 1])
-        _, alpha = gatv2_attention(src, tgt, edge_src, edge_tgt, 2, pv,
-                                   return_weights=True)
+        _, alpha = gatv2_attention(src, tgt, edge_tgt, 2, pv, return_weights=True)
         assert (alpha.values >= 0).all()
         sums = np.zeros((2, alpha.values.shape[1]))
         np.add.at(sums, edge_tgt, alpha.values)
@@ -156,8 +157,8 @@ class TestGatv2Attention:
         tgt_v = rng.normal(size=(5, d))
         edge_src, edge_tgt = np.meshgrid(np.arange(5), np.arange(5))
         edge_src, edge_tgt = edge_src.ravel(), edge_tgt.ravel()
-        out = gatv2_attention(ad.constant(src_v), ad.constant(tgt_v),
-                              edge_src, edge_tgt, 5, pv)
+        out = gatv2_attention(ad.constant(src_v[edge_src]), ad.constant(tgt_v),
+                              edge_tgt, 5, pv)
 
         W = pv["att.w"].values            # (2d, da) row convention
         a = pv["att.a"].values
@@ -186,8 +187,16 @@ class TestGatv2Attention:
         pv = make_gat_params(d)
         src = ad.constant(rng.normal(size=(2, d)))
         tgt = ad.constant(rng.normal(size=(2, d)))
-        with pytest.raises(IsolatedNodeError):
-            gatv2_attention(src, tgt, np.array([0, 1]), np.array([0, 0]), 2, pv)
+        with pytest.raises(ad.SegmentIndexError):
+            gatv2_attention(src, tgt, np.array([0, 0]), 2, pv)
+
+    def test_one_source_row_per_edge(self, rng):
+        d = 8
+        pv = make_gat_params(d)
+        src = ad.constant(rng.normal(size=(1, d)))
+        tgt = ad.constant(rng.normal(size=(1, d)))
+        with pytest.raises(ad.ShapeError):
+            gatv2_attention(src, tgt, np.array([0, 0]), 1, pv)
 
 
 class TestGraphCrossAttention:
@@ -212,12 +221,10 @@ class TestGraphCrossAttention:
         d = 8
         pv = self._gca_params(d, d, has_tgt=False)
         h1 = ad.constant(rng.normal(size=(4, d)))
-        edge_src = np.arange(4)
         edge_tgt = np.zeros(4, dtype=np.int64)
-        out = graph_cross_attention(h1, None, edge_src, edge_tgt, 1, d, d, pv)
+        out = graph_cross_attention(h1, None, edge_tgt, 1, pv)
         h1n = ad.relu(ad.layer_norm(h1))
-        direct = gatv2_attention(h1n, ad.constant(np.zeros((1, d))),
-                                 edge_src, edge_tgt, 1, pv)
+        direct = gatv2_attention(h1n, ad.constant(np.zeros((1, d))), edge_tgt, 1, pv)
         np.testing.assert_array_equal(out.values, direct.values)
 
     def test_equal_dims_allocate_no_projections(self):
@@ -233,12 +240,11 @@ class TestGraphCrossAttention:
         d1, d2 = 8, 8
         pv = self._gca_params(d1, d2, has_tgt=True, seed=2)
         h1 = ad.constant(rng.normal(size=(5, d1)))
-        edge_src = np.arange(5)
         edge_tgt = np.array([0, 0, 0, 1, 1])
         out_a = graph_cross_attention(h1, ad.constant(rng.normal(size=(2, d2))),
-                                      edge_src, edge_tgt, 2, d1, d2, pv)
+                                      edge_tgt, 2, pv)
         out_b = graph_cross_attention(h1, ad.constant(rng.normal(size=(2, d2))),
-                                      edge_src, edge_tgt, 2, d1, d2, pv)
+                                      edge_tgt, 2, pv)
         assert np.abs(out_a.values - out_b.values).max() > 1e-8
 
 
@@ -248,14 +254,14 @@ class TestUpdateProcedures:
         p = ad.constant(rng.normal(size=(7, TINY.d_p)))
         v = update_view_feats(p, np.zeros(7, dtype=np.int64), 1,
                               ad.constant(rng.normal(size=(1, TINY.d_v))),
-                              TINY.d_p, TINY.d_v, params.view("layer0.view"))
+                              params.view("layer0.view"))
         assert v.shape == (1, TINY.d_v)
 
     def test_first_call_ignores_missing_residual(self, rng):
         params = tiny_params()
         p0 = ad.constant(rng.normal(size=(6, 2)))
         v = update_view_feats(p0, np.array([0, 0, 0, 1, 1, 1]), 2, None,
-                              2, TINY.d_v, params.view("init_view"))
+                              params.view("init_view"))
         assert v.shape == (2, TINY.d_v)
 
     def test_point_permutation_equivariance_of_updates(self, rng):
@@ -274,17 +280,13 @@ class TestUpdateProcedures:
         perm = rng.permutation(n_pts)          # old point index -> new
         inv = np.argsort(perm)
         v1 = update_view_feats(ad.constant(p), view_idx, n_views,
-                               ad.constant(v_prev), TINY.d_p, TINY.d_v,
-                               params.view("layer0.view"))
+                               ad.constant(v_prev), params.view("layer0.view"))
         s1 = update_point_feats(ad.constant(p), point_idx, n_pts,
-                                ad.constant(s_prev), TINY.d_p, TINY.d_s,
-                                params.view("layer0.point"))
+                                ad.constant(s_prev), params.view("layer0.point"))
         v2 = update_view_feats(ad.constant(p), view_idx, n_views,
-                               ad.constant(v_prev), TINY.d_p, TINY.d_v,
-                               params.view("layer0.view"))
+                               ad.constant(v_prev), params.view("layer0.view"))
         s2 = update_point_feats(ad.constant(p), perm[point_idx], n_pts,
-                                ad.constant(s_prev[inv]),
-                                TINY.d_p, TINY.d_s, params.view("layer0.point"))
+                                ad.constant(s_prev[inv]), params.view("layer0.point"))
         np.testing.assert_allclose(v1.values, v2.values, atol=1e-12)
         np.testing.assert_allclose(s2.values, s1.values[inv], atol=1e-12)
 
@@ -294,17 +296,17 @@ class TestUpdateProcedures:
         s = rng.normal(size=(7, TINY.d_s))
         g = rng.normal(size=(1, TINY.d_g))
         pv = params.view("layer0.global")
-        g1 = update_global_feat(ad.constant(v), ad.constant(s), ad.constant(g), TINY, pv)
+        g1 = update_global_feat(ad.constant(v), ad.constant(s), ad.constant(g), pv)
         g2 = update_global_feat(ad.constant(v[rng.permutation(5)]),
                                 ad.constant(s[rng.permutation(7)]),
-                                ad.constant(g), TINY, pv)
+                                ad.constant(g), pv)
         np.testing.assert_allclose(g1.values, g2.values, atol=1e-10)
 
     def test_global_first_call_omits_residual(self, rng):
         params = tiny_params()
         v = ad.constant(rng.normal(size=(3, TINY.d_v)))
         s = ad.constant(rng.normal(size=(4, TINY.d_s)))
-        g = update_global_feat(v, s, None, TINY, params.view("init_global"))
+        g = update_global_feat(v, s, None, params.view("init_global"))
         assert g.shape == (1, TINY.d_g)
 
     def test_global_zeroed_point_branch(self, rng):
@@ -316,8 +318,8 @@ class TestUpdateProcedures:
         pv["gca_s.proj_out.b"].values[:] = 0.0
         v = ad.constant(rng.normal(size=(3, TINY.d_v)))
         g = ad.constant(rng.normal(size=(1, TINY.d_g)))
-        g1 = update_global_feat(v, ad.constant(rng.normal(size=(5, TINY.d_s))), g, TINY, pv)
-        g2 = update_global_feat(v, ad.constant(rng.normal(size=(5, TINY.d_s))), g, TINY, pv)
+        g1 = update_global_feat(v, ad.constant(rng.normal(size=(5, TINY.d_s))), g, pv)
+        g2 = update_global_feat(v, ad.constant(rng.normal(size=(5, TINY.d_s))), g, pv)
         np.testing.assert_array_equal(g1.values, g2.values)
 
     def test_proj_update_shares_view_contribution(self, rng):
@@ -334,13 +336,14 @@ class TestUpdateProcedures:
         view_idx = np.array([0, 0, 0, 1, 1, 1])
         point_idx = np.arange(6)
         out1 = update_proj_feats(p_prev, p_in, v, s, g, view_idx, point_idx, pv)
-        # perturb view 1 only; observations of view 0 must not move
+        # perturb view 1 only, along the feature (a constant shift would be
+        # removed by ln_v); observations of view 0 must not move
         v2 = v.values.copy()
-        v2[1] += 1.0
+        v2[1] += rng.normal(size=TINY.d_v)
         out2 = update_proj_feats(p_prev, p_in, ad.constant(v2), s, g,
                                  view_idx, point_idx, pv)
         np.testing.assert_array_equal(out1.values[:3], out2.values[:3])
-        assert np.abs(out1.values[3:] - out2.values[3:]).max() > 0
+        assert np.abs(out1.values[3:] - out2.values[3:]).max(axis=1).min() > 1e-6
 
     def test_proj_residual_identity_with_zero_ffn(self, rng):
         params = tiny_params(seed=8)
@@ -454,7 +457,6 @@ class TestForward:
     def test_joint_permutation_equivariance(self, rng):
         """The architecture's central design claim: permuting views and
         points permutes the outputs identically."""
-        from dataclasses import replace
         scene, _, _ = make_scene(num_views=5, num_points=14, visibility=0.8, seed=3)
         params = tiny_params(seed=3)
         base = forward(scene, params)
@@ -486,6 +488,31 @@ class TestForward:
                                        mode="projective"), seed=0)
         with pytest.raises(ValueError):
             forward(scene, params)
+
+
+class TestRegistryMatchesForward:
+    CONFIGS = [
+        TINY,
+        NetConfig(layers=2, d_p=8, d_v=8, d_s=8, d_g=8),     # no proj_in/proj_out
+        NetConfig(layers=2, d_p=4, d_v=4, d_s=4, d_g=4),     # init updates: no proj_out
+        NetConfig(layers=2, d_p=6, d_v=12, d_s=5, d_g=9),    # odd widths
+    ]
+
+    def test_every_registered_parameter_gets_a_gradient(self):
+        """forward reads which projections to apply from the blocks that
+        param_shapes allocates, so every registered parameter must be used
+        and receive a gradient with a nonzero entry."""
+        for mode in ("euclidean", "projective"):
+            scene, _, _ = make_scene(num_views=5, num_points=14, visibility=0.8,
+                                     seed=3, mode=mode)
+            for cfg in self.CONFIGS:
+                cfg = replace(cfg, mode=mode)
+                params = init_params(cfg, seed=0)
+                total, _ = loss(scene, forward(scene, params))
+                ad.backward(total, params=params.tensors.values())
+                for name in param_shapes(cfg):
+                    grad = params[name].grad
+                    assert grad is not None and np.any(grad != 0), (cfg, name)
 
 
 class TestProjectiveHead:
