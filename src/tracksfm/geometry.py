@@ -14,8 +14,8 @@ import numpy as np
 from .autodiff import scatter_add
 from .network import Reconstruction
 from .rotations import matrix_to_quat, quat_multiply, quat_normalize, quat_to_matrix
-from .scene import (DEPTH_GUARD, EUCLIDEAN, PROJECTIVE, NormalizationRecord, Scene,
-                    pose_matrices, project)
+from .scene import (DEPTH_GUARD, EUCLIDEAN, PROJECTIVE, Incidence, NormalizationRecord,
+                    Scene, pose_matrices, project)
 
 
 class DegenerateConfigError(ValueError):
@@ -43,11 +43,28 @@ class BaConfig:
 
 @dataclass
 class BaDiagnostics:
-    """Accepted-step objective sequences per round, plus exit status."""
+    """Per-round LM record, plus exit status.
 
-    objectives: list = field(default_factory=list)   # one list per round
+    Each list holds one entry per round: the objective at the start and
+    after each accepted step; the damping lambda each accepted step was
+    solved with; the number of rejected steps; why the round stopped
+    ("relative decrease", "gradient", "iteration cap", "damping exhausted"
+    or "non-finite start"); and the number of observations with depth <= 0
+    at round start and at round end.
+    """
+
+    objectives: list = field(default_factory=list)
+    lambdas: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
+    stop_reasons: list = field(default_factory=list)
+    behind_camera: list = field(default_factory=list)   # [start, end] pairs
     converged: bool = True
     message: str = ""
+
+
+# Stop reasons that make a round fail, with their exit messages.
+_FAILURES = {"damping exhausted": "damping escalation exhausted",
+             "non-finite start": "non-finite objective at round start"}
 
 
 def camera_matrices(recon: Reconstruction) -> np.ndarray:
@@ -61,7 +78,8 @@ def camera_matrices(recon: Reconstruction) -> np.ndarray:
 
 def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.ndarray]:
     """DLT: per point, stack  x*P_3 - P_1  and  y*P_3 - P_2  over all
-    observing views and take the smallest right singular vector.
+    observing views and take the smallest right singular vector. Points
+    with the same track length are solved in one stacked SVD.
 
     Returns (points (n, 3), degenerate mask). A point is flagged degenerate
     when the system is rank-deficient (all rays parallel) or the
@@ -69,27 +87,20 @@ def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.nda
     keep the input reconstruction's coordinates.
     """
     P = camera_matrices(recon)
-    n = scene.num_points
+    inc = scene.incidence
     points = recon.points.copy()
-    degenerate = np.zeros(n, dtype=bool)
-    order = np.argsort(scene.point_idx, kind="stable")
-    pj = scene.point_idx[order]
-    vj = scene.view_idx[order]
-    xyj = scene.xy[order]
-    bounds = np.searchsorted(pj, np.arange(n + 1))
-    for j in range(n):
-        lo, hi = bounds[j], bounds[j + 1]
-        views = vj[lo:hi]
-        xy = xyj[lo:hi]
-        A = np.empty((2 * len(views), 4))
-        A[0::2] = xy[:, :1] * P[views, 2] - P[views, 0]
-        A[1::2] = xy[:, 1:2] * P[views, 2] - P[views, 1]
-        _, sv, Vt = np.linalg.svd(A, full_matrices=True)
-        X = Vt[-1]
-        if sv[2] <= 1e-10 * sv[0] or abs(X[3]) < 1e-12:
-            degenerate[j] = True
-            continue
-        points[j] = X[:3] / X[3]
+    degenerate = np.zeros(scene.num_points, dtype=bool)
+    lengths = np.diff(inc.point_bounds)
+    for length in np.unique(lengths):
+        js = np.flatnonzero(lengths == length)
+        obs = inc.point_order[inc.point_bounds[js, None] + np.arange(length)]
+        Pv, xy = P[scene.view_idx[obs]], scene.xy[obs]
+        A = xy[..., None] * Pv[:, :, 2:3] - Pv[:, :, :2]       # (points, length, 2, 4)
+        _, sv, Vt = np.linalg.svd(A.reshape(len(js), 2 * length, 4), full_matrices=False)
+        X = Vt[:, -1]
+        bad = (sv[:, 2] <= 1e-10 * sv[:, 0]) | (np.abs(X[:, 3]) < 1e-12)
+        degenerate[js] = bad
+        points[js[~bad]] = X[~bad, :3] / X[~bad, 3:]
     return points, degenerate
 
 
@@ -139,19 +150,18 @@ class _EuclideanState:
         return pose_matrices(quat_to_matrix(self.quats), self.centers)
 
     def cam_jacobian(self, scene: Scene, z: np.ndarray) -> np.ndarray:
-        """d z / d [omega, dc] per observation, shape (N, 3, 6)."""
-        N = len(z)
-        J = np.zeros((N, 3, 6))
+        """d z / d [omega, dc] per observation, shape (3, 6, N)."""
+        J = np.zeros((3, 6, len(z)))
         # d(exp(w) z)/dw at w=0 is -[z]x
-        J[:, 0, 1], J[:, 0, 2] = z[:, 2], -z[:, 1]
-        J[:, 1, 0], J[:, 1, 2] = -z[:, 2], z[:, 0]
-        J[:, 2, 0], J[:, 2, 1] = z[:, 1], -z[:, 0]
-        R = quat_to_matrix(self.quats)[scene.view_idx]
-        J[:, :, 3:] = -R
+        J[0, 1], J[0, 2] = z[:, 2], -z[:, 1]
+        J[1, 0], J[1, 2] = -z[:, 2], z[:, 0]
+        J[2, 0], J[2, 1] = z[:, 1], -z[:, 0]
+        J[:, 3:] = -self.point_jacobian(scene)
         return J
 
     def point_jacobian(self, scene: Scene) -> np.ndarray:
-        return quat_to_matrix(self.quats)[scene.view_idx]
+        """d z / d X per observation, shape (3, 3, N)."""
+        return quat_to_matrix(self.quats).transpose(1, 2, 0)[:, :, scene.view_idx]
 
     def apply_cam_step(self, delta: np.ndarray) -> None:
         self.quats = quat_normalize(quat_multiply(_so3_exp_quat(delta[:, :3]), self.quats))
@@ -180,16 +190,16 @@ class _ProjectiveState:
         return self.P
 
     def cam_jacobian(self, scene: Scene, z: np.ndarray) -> np.ndarray:
-        N = len(z)
-        Xh = np.concatenate([self.points, np.ones((len(self.points), 1))], axis=1)
-        Xo = Xh[scene.point_idx]
-        J = np.zeros((N, 3, 12))
+        """d z / d P per observation, shape (3, 12, N)."""
+        J = np.zeros((3, 12, len(z)))
         for k in range(3):
-            J[:, k, 4 * k:4 * k + 4] = Xo
+            J[k, 4 * k:4 * k + 3] = self.points[scene.point_idx].T
+            J[k, 4 * k + 3] = 1.0
         return J
 
     def point_jacobian(self, scene: Scene) -> np.ndarray:
-        return self.P[scene.view_idx][:, :, :3]
+        """d z / d X per observation, shape (3, 3, N)."""
+        return self.P[:, :, :3].transpose(1, 2, 0)[:, :, scene.view_idx]
 
     def apply_cam_step(self, delta: np.ndarray) -> None:
         self.P += delta.reshape(-1, 3, 4)
@@ -213,43 +223,70 @@ class _ProjectiveState:
 
 @dataclass
 class _NormalBlocks:
-    """Gauss-Newton normal-equation blocks of the robustified objective."""
+    """Gauss-Newton normal-equation blocks of the robustified objective.
+    Observations under the depth guard carry zero weight, so W keeps one
+    (zero) block for each of them and the scene's incidence holds."""
 
     U: np.ndarray        # (m, dc, dc) camera diagonal blocks
     V: np.ndarray        # (n, 3, 3) point diagonal blocks
-    W: np.ndarray        # (N_u, dc, 3) per-observation coupling blocks
+    W: np.ndarray        # (N, dc, 3) per-observation coupling blocks
     gc: np.ndarray       # (m, dc) camera gradient
     gp: np.ndarray       # (n, 3) point gradient
     vi: np.ndarray
     pi: np.ndarray
+    inc: Incidence
+
+
+# The 6 unique entries of a symmetric 3x3 block (its upper triangle, row by
+# row), and the position of each of the 9 entries among them.
+_TRIU3 = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
+_SYM3 = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
     m, n = scene.num_views, scene.num_points
+    inc = scene.incidence
     r, z = _residuals(scene, state.matrices(), state.points)
     usable = np.abs(z[:, 2]) >= DEPTH_GUARD
+    depth = np.where(usable, z[:, 2], 1.0)
+    r = np.where(usable[:, None], r, 0.0)
 
-    # dr/d(param) = -dPi/dz . dz/d(param), whitened by sqrt Huber weights
-    w = np.sqrt(_huber_weights(r[usable], cfg.huber_threshold))
-    zs = z[usable]
-    dPi = np.zeros((int(usable.sum()), 2, 3))
-    inv = 1.0 / zs[:, 2]
-    dPi[:, 0, 0] = inv
-    dPi[:, 1, 1] = inv
-    dPi[:, 0, 2] = -zs[:, 0] * inv * inv
-    dPi[:, 1, 2] = -zs[:, 1] * inv * inv
-    dPi *= -w[:, None, None]
-    Jc = dPi @ state.cam_jacobian(scene, z)[usable]
-    Jp = dPi @ state.point_jacobian(scene)[usable]
-    rw = r[usable] * w[:, None]
-    vi_u, pi_u = scene.view_idx[usable], scene.point_idx[usable]
+    # dr/d(param) = -dPi/dz . dz/d(param), whitened by sqrt Huber weights:
+    # the two rows of dPi . J are (J_0 - x' J_2) / z_2 and (J_1 - y' J_2) / z_2
+    w = np.sqrt(_huber_weights(r, cfg.huber_threshold)) * usable
+    a = -w / depth
+    x, y = z[:, 0] / depth, z[:, 1] / depth
 
-    U = scatter_add(vi_u, np.einsum("kab,kac->kbc", Jc, Jc), m)
-    V = scatter_add(pi_u, np.einsum("kab,kac->kbc", Jp, Jp), n)
-    gc = scatter_add(vi_u, np.einsum("kab,ka->kb", Jc, rw), m)
-    gp = scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
-    W = Jc.transpose(0, 2, 1) @ Jp
-    return _NormalBlocks(U=U, V=V, W=W, gc=gc, gp=gp, vi=vi_u, pi=pi_u)
+    def rows(J):
+        """(3, d, N) Jacobian of z -> (d, N, 2) whitened residual Jacobian."""
+        out = np.empty(J.shape[1:] + (2,))
+        out[..., 0] = a * (J[0] - x * J[2])
+        out[..., 1] = a * (J[1] - y * J[2])
+        return out
+
+    Jc = rows(state.cam_jacobian(scene, z))
+    Jp = rows(state.point_jacobian(scene))
+    rw = r * w[:, None]
+
+    # U_i = A A^T and gc_i = A rw_i over view i's rows, A of shape (dc, 2 N_i)
+    dc = len(Jc)
+    U = np.empty((m, dc, dc))
+    gc = np.empty((m, dc))
+    for i, (lo, hi) in enumerate(zip(inc.view_bounds[:-1], inc.view_bounds[1:])):
+        A = Jc[:, lo:hi].reshape(dc, -1)
+        U[i] = A @ A.T
+        gc[i] = A @ rw[lo:hi].ravel()
+
+    # V from the 6 unique entries of each symmetric block, plus gp
+    p0, p1 = Jp[..., 0], Jp[..., 1]
+    iu, ju = _TRIU3
+    pt = np.concatenate([p0[iu] * p0[ju] + p1[iu] * p1[ju], p0 * rw[:, 0] + p1 * rw[:, 1]])
+    pt = scatter_add(scene.point_idx, pt.T, n)
+    # W_k = Jc_k^T Jp_k, the sum of the outer products of the two rows; a
+    # batched product needs no (N, dc, 3) temporaries
+    W = Jc.transpose(1, 0, 2) @ Jp.transpose(1, 2, 0)
+    return _NormalBlocks(U=U, V=pt[:, _SYM3].reshape(n, 3, 3), W=W, gc=gc, gp=pt[:, 6:],
+                         vi=scene.view_idx, pi=scene.point_idx, inc=inc)
 
 
 def _damped(blocks: np.ndarray, lam: float) -> np.ndarray:
@@ -277,32 +314,33 @@ def solve_schur_step(nb: _NormalBlocks, lam: float) -> tuple[np.ndarray, np.ndar
     n = len(nb.V)
     Ud = _damped(nb.U, lam)
     Vinv = np.linalg.inv(_damped(nb.V, lam))
-    order = np.argsort(nb.pi, kind="stable")
-    vi, pi, W = nb.vi[order], nb.pi[order], nb.W[order]
-    Y = W @ Vinv[pi]
+    L = np.linalg.cholesky(Vinv)                   # Vinv_j = L_j L_j^T
+    order = nb.inc.point_order
+    vi, pi = nb.vi[order], nb.pi[order]
+    Z = nb.W[order] @ L[pi]
+    Lg = np.einsum("kba,kb->ka", L, nb.gp)         # L_j^T gp_j
 
-    # S = blockdiag(Ud) - sum_j W_j Vinv_j W_j^T, with W_j the coupling
-    # blocks of point j stacked over all cameras (zero where unobserved).
-    # Per slice of points, W and Y = W Vinv are scattered into dense
-    # (m, dc, slice, 3) slabs and one slab product is subtracted; scenes
-    # hold no duplicate (view, point) pair, so no slab entry is written twice.
+    # S = blockdiag(Ud) - sum_j W_j Vinv_j W_j^T = blockdiag(Ud) - sum_j Z_j Z_j^T,
+    # with W_j the coupling blocks of point j stacked over all cameras (zero
+    # where unobserved) and Z_j = W_j L_j. Per slice of points, Z is scattered
+    # into a dense (m, dc, slice, 3) slab and the slab's Gram product is
+    # subtracted; scenes hold no duplicate (view, point) pair, so no slab
+    # entry is written twice.
     S = np.zeros((m * dc, m * dc))
     rhs = -nb.gc.ravel()
-    bounds = np.searchsorted(pi, np.arange(0, n + SCHUR_SLICE, SCHUR_SLICE))
+    bounds = nb.inc.point_bounds[np.append(np.arange(0, n, SCHUR_SLICE), n)]
     for j0, lo, hi in zip(range(0, n, SCHUR_SLICE), bounds[:-1], bounds[1:]):
         width = min(SCHUR_SLICE, n - j0)
-        W_slab = np.zeros((m, dc, width, 3))
-        Y_slab = np.zeros((m, dc, width, 3))
-        W_slab[vi[lo:hi], :, pi[lo:hi] - j0] = W[lo:hi]
-        Y_slab[vi[lo:hi], :, pi[lo:hi] - j0] = Y[lo:hi]
-        Y_flat = Y_slab.reshape(m * dc, 3 * width)
-        S -= Y_flat @ W_slab.reshape(m * dc, 3 * width).T
-        rhs += Y_flat @ nb.gp[j0:j0 + width].ravel()
+        Z_slab = np.zeros((m, dc, width, 3))
+        Z_slab[vi[lo:hi], :, pi[lo:hi] - j0] = Z[lo:hi]
+        Z_flat = Z_slab.reshape(m * dc, 3 * width)
+        S -= Z_flat @ Z_flat.T
+        rhs += Z_flat @ Lg[j0:j0 + width].ravel()
     cams = np.arange(m)
     S.reshape(m, dc, m, dc)[cams, :, cams] += Ud
 
     delta_c = np.linalg.solve(S, rhs).reshape(m, dc)
-    resid_p = -nb.gp - scatter_add(pi, np.einsum("kab,ka->kb", W, delta_c[vi]), n)
+    resid_p = -nb.gp - scatter_add(nb.pi, np.einsum("kab,ka->kb", nb.W, delta_c[nb.vi]), n)
     delta_p = np.einsum("kab,kb->ka", Vinv, resid_p)
     return delta_c, delta_p
 
@@ -332,54 +370,66 @@ def solve_dense_step(nb: _NormalBlocks, lam: float) -> tuple[np.ndarray, np.ndar
     return delta[:m * dc].reshape(m, dc), delta[m * dc:].reshape(n, 3)
 
 
-def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) -> None:
-    """One Levenberg-Marquardt round; mutates state in place. Steps are
-    accepted only when the true robust objective decreases, so the recorded
-    trace is strictly decreasing."""
-    lam = LM_LAMBDA_INIT
+def _behind(z: np.ndarray) -> int:
+    return int(np.count_nonzero(z[:, 2] <= 0))
 
-    r, _ = _residuals(scene, state.matrices(), state.points)
-    obj = _robust_objective(r, cfg.huber_threshold)
-    trace = [obj]
-    diagnostics.objectives.append(trace)
-    if not np.isfinite(obj):
-        diagnostics.converged = False
-        diagnostics.message = "non-finite objective at round start"
-        return
 
+def _lm_steps(scene: Scene, state, cfg: BaConfig, trace: list, lambdas: list, z):
+    """LM iterations from the state with finite objective trace[-1] and
+    projections z; mutates state and appends each accepted step's objective
+    and damping. Returns (stop reason, rejected steps, z of the final state)."""
+    lam, rejected, obj = LM_LAMBDA_INIT, 0, trace[-1]
     for _ in range(cfg.max_iters_per_round):
         nb = _build_normal_blocks(scene, state, cfg)
         ginf = max(np.abs(nb.gc).max(initial=0.0), np.abs(nb.gp).max(initial=0.0))
         if ginf < GRAD_TOL:
-            return
-
-        accepted = False
+            return "gradient", rejected, z
         while lam <= LM_LAMBDA_MAX:
             try:
                 delta_c, delta_p = solve_schur_step(nb, lam)
             except np.linalg.LinAlgError:
+                rejected += 1
                 lam *= LM_LAMBDA_SCALE
                 continue
             snap = state.snapshot()
             state.apply_cam_step(delta_c)
             state.points += delta_p
-            r_new, _ = _residuals(scene, state.matrices(), state.points)
+            r_new, z_new = _residuals(scene, state.matrices(), state.points)
             new_obj = _robust_objective(r_new, cfg.huber_threshold)
             if np.isfinite(new_obj) and new_obj < obj:
+                lambdas.append(lam)
                 lam = max(lam / LM_LAMBDA_SCALE, 1e-15)
                 rel = (obj - new_obj) / max(obj, 1e-300)
-                obj = new_obj
+                obj, z = new_obj, z_new
                 trace.append(obj)
-                accepted = True
-                if rel < REL_DECREASE_TOL:
-                    return
                 break
             state.restore(snap)
+            rejected += 1
             lam *= LM_LAMBDA_SCALE
-        if not accepted:
-            diagnostics.converged = False
-            diagnostics.message = "damping escalation exhausted"
-            return
+        else:
+            return "damping exhausted", rejected, z
+        if rel < REL_DECREASE_TOL:
+            return "relative decrease", rejected, z
+    return "iteration cap", rejected, z
+
+
+def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) -> None:
+    """One Levenberg-Marquardt round; mutates state in place. Steps are
+    accepted only when the true robust objective decreases, so the recorded
+    trace is strictly decreasing."""
+    r, z = _residuals(scene, state.matrices(), state.points)
+    trace, lambdas = [_robust_objective(r, cfg.huber_threshold)], []
+    reason, rejected, z_end = "non-finite start", 0, z
+    if np.isfinite(trace[0]):
+        reason, rejected, z_end = _lm_steps(scene, state, cfg, trace, lambdas, z)
+    if reason in _FAILURES:
+        diagnostics.converged = False
+        diagnostics.message = _FAILURES[reason]
+    diagnostics.objectives.append(trace)
+    diagnostics.lambdas.append(lambdas)
+    diagnostics.rejected.append(rejected)
+    diagnostics.stop_reasons.append(reason)
+    diagnostics.behind_camera.append([_behind(z), _behind(z_end)])
 
 
 def bundle_adjust(scene: Scene, recon: Reconstruction,
@@ -404,6 +454,11 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
         if rnd < cfg.rounds - 1:
             pts, _ = triangulate(scene, state.to_reconstruction())
             state.points = pts
+    capped = [str(k + 1) for k, why in enumerate(diagnostics.stop_reasons)
+              if why == "iteration cap"]
+    if capped and not diagnostics.message:
+        diagnostics.message = (f"iteration cap ({cfg.max_iters_per_round}) reached "
+                               f"in round {', '.join(capped)}")
     return state.to_reconstruction(), diagnostics
 
 

@@ -32,43 +32,37 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_quat(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix -> unit quaternion (w, x, y, z), w >= 0.
+    """Rotation matrix/matrices (..., 3, 3) -> unit quaternion(s) (w, x, y, z),
+    w >= 0.
 
-    Shepperd's method: pick the largest of the four candidate pivots for
-    numerical stability.
+    Shepperd's method: per matrix, pick the largest of the four candidate
+    pivots (trace, R00, R11, R22; the first on ties) for numerical stability.
     """
     R = np.asarray(R, dtype=np.float64)
-    if R.ndim == 2:
-        return _matrix_to_quat_single(R)
-    return np.stack([_matrix_to_quat_single(Ri) for Ri in R])
-
-
-def _matrix_to_quat_single(R: np.ndarray) -> np.ndarray:
-    t = np.trace(R)
-    candidates = np.array([t, R[0, 0], R[1, 1], R[2, 2]])
-    case = int(np.argmax(candidates))
-    if case == 0:
-        r = np.sqrt(1.0 + t)
-        s = 0.5 / r
-        q = np.array([
-            0.5 * r,
-            (R[2, 1] - R[1, 2]) * s,
-            (R[0, 2] - R[2, 0]) * s,
-            (R[1, 0] - R[0, 1]) * s,
-        ])
-    else:
-        i = case - 1
+    flat = R.reshape(-1, 3, 3)
+    t = flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2]
+    case = np.argmax(np.stack([t, flat[:, 0, 0], flat[:, 1, 1], flat[:, 2, 2]]), axis=0)
+    q = np.empty((len(flat), 4))
+    sel = case == 0
+    Rs = flat[sel]
+    r = np.sqrt(1.0 + t[sel])
+    s = 0.5 / r
+    q[sel, 0] = 0.5 * r
+    q[sel, 1] = (Rs[:, 2, 1] - Rs[:, 1, 2]) * s
+    q[sel, 2] = (Rs[:, 0, 2] - Rs[:, 2, 0]) * s
+    q[sel, 3] = (Rs[:, 1, 0] - Rs[:, 0, 1]) * s
+    for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k])
+        sel = case == i + 1
+        Rs = flat[sel]
+        r = np.sqrt(1.0 + Rs[:, i, i] - Rs[:, j, j] - Rs[:, k, k])
         s = 0.5 / r
-        q = np.empty(4)
-        q[0] = (R[k, j] - R[j, k]) * s
-        q[1 + i] = 0.5 * r
-        q[1 + j] = (R[j, i] + R[i, j]) * s
-        q[1 + k] = (R[k, i] + R[i, k]) * s
-    if q[0] < 0:
-        q = -q
-    return quat_normalize(q)
+        q[sel, 0] = (Rs[:, k, j] - Rs[:, j, k]) * s
+        q[sel, 1 + i] = 0.5 * r
+        q[sel, 1 + j] = (Rs[:, j, i] + Rs[:, i, j]) * s
+        q[sel, 1 + k] = (Rs[:, k, i] + Rs[:, i, k]) * s
+    q[q[:, 0] < 0] *= -1.0
+    return quat_normalize(q).reshape(R.shape[:-2] + (4,))
 
 
 def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:

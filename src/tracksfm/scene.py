@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,18 @@ class EmptySubsceneError(SceneError):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """Segment structure of a scene's observations. Observations of view i
+    are rows view_bounds[i]:view_bounds[i + 1] of the canonical order; those
+    of point j are rows point_order[point_bounds[j]:point_bounds[j + 1]],
+    in canonical order (point_order is the stable sort by point)."""
+
+    view_bounds: np.ndarray    # (m + 1,)
+    point_order: np.ndarray    # (N,)
+    point_bounds: np.ndarray   # (n + 1,)
 
 
 @dataclass(frozen=True)
@@ -142,6 +155,18 @@ class Scene:
     @property
     def num_observations(self) -> int:
         return int(self.view_idx.size)
+
+    @cached_property
+    def incidence(self) -> Incidence:
+        """Computed on first read and cached on this scene. Every scene
+        builder (`replace` included) makes a new Scene, which computes its
+        own."""
+        def bounds(idx, size):
+            return np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=size))])
+        return Incidence(
+            view_bounds=_freeze(bounds(self.view_idx, self.num_views)),
+            point_order=_freeze(np.argsort(self.point_idx, kind="stable")),
+            point_bounds=_freeze(bounds(self.point_idx, self.num_points)))
 
 
 # Projections with |depth| below this cannot be dehomogenized; `project`

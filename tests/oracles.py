@@ -1,0 +1,121 @@
+"""Reference implementations that the vectorized code in `src/` replaced.
+
+They are kept as test oracles: slow, written one matrix, one point or one
+observation at a time, and compared against the production code.
+"""
+
+import numpy as np
+
+from tracksfm.autodiff import scatter_add
+from tracksfm.geometry import _EuclideanState, _huber_weights, _residuals, camera_matrices
+from tracksfm.rotations import quat_normalize, quat_to_matrix
+from tracksfm.scene import DEPTH_GUARD
+
+
+def matrix_to_quat_oracle(R: np.ndarray) -> np.ndarray:
+    """Shepperd's method on a single rotation matrix."""
+    t = np.trace(R)
+    candidates = np.array([t, R[0, 0], R[1, 1], R[2, 2]])
+    case = int(np.argmax(candidates))
+    if case == 0:
+        r = np.sqrt(1.0 + t)
+        s = 0.5 / r
+        q = np.array([
+            0.5 * r,
+            (R[2, 1] - R[1, 2]) * s,
+            (R[0, 2] - R[2, 0]) * s,
+            (R[1, 0] - R[0, 1]) * s,
+        ])
+    else:
+        i = case - 1
+        j, k = (i + 1) % 3, (i + 2) % 3
+        r = np.sqrt(1.0 + R[i, i] - R[j, j] - R[k, k])
+        s = 0.5 / r
+        q = np.empty(4)
+        q[0] = (R[k, j] - R[j, k]) * s
+        q[1 + i] = 0.5 * r
+        q[1 + j] = (R[j, i] + R[i, j]) * s
+        q[1 + k] = (R[k, i] + R[i, k]) * s
+    if q[0] < 0:
+        q = -q
+    return quat_normalize(q)
+
+
+def triangulate_oracle(scene, recon):
+    """DLT one point at a time, with the degenerate rules of `triangulate`."""
+    P = camera_matrices(recon)
+    n = scene.num_points
+    points = recon.points.copy()
+    degenerate = np.zeros(n, dtype=bool)
+    order = np.argsort(scene.point_idx, kind="stable")
+    pj = scene.point_idx[order]
+    vj = scene.view_idx[order]
+    xyj = scene.xy[order]
+    bounds = np.searchsorted(pj, np.arange(n + 1))
+    for j in range(n):
+        lo, hi = bounds[j], bounds[j + 1]
+        views = vj[lo:hi]
+        xy = xyj[lo:hi]
+        A = np.empty((2 * len(views), 4))
+        A[0::2] = xy[:, :1] * P[views, 2] - P[views, 0]
+        A[1::2] = xy[:, 1:2] * P[views, 2] - P[views, 1]
+        _, sv, Vt = np.linalg.svd(A, full_matrices=True)
+        X = Vt[-1]
+        if sv[2] <= 1e-10 * sv[0] or abs(X[3]) < 1e-12:
+            degenerate[j] = True
+            continue
+        points[j] = X[:3] / X[3]
+    return points, degenerate
+
+
+def _jacobians_oracle(scene, state, z):
+    """Per-observation d z / d camera (N, 3, dc) and d z / d point (N, 3, 3)."""
+    N = len(z)
+    if isinstance(state, _EuclideanState):
+        R = quat_to_matrix(state.quats)[scene.view_idx]
+        Jc = np.zeros((N, 3, 6))
+        # d(exp(w) z)/dw at w=0 is -[z]x
+        Jc[:, 0, 1], Jc[:, 0, 2] = z[:, 2], -z[:, 1]
+        Jc[:, 1, 0], Jc[:, 1, 2] = -z[:, 2], z[:, 0]
+        Jc[:, 2, 0], Jc[:, 2, 1] = z[:, 1], -z[:, 0]
+        Jc[:, :, 3:] = -R
+        return Jc, R
+    Xh = np.concatenate([state.points, np.ones((len(state.points), 1))], axis=1)
+    Xo = Xh[scene.point_idx]
+    Jc = np.zeros((N, 3, 12))
+    for k in range(3):
+        Jc[:, k, 4 * k:4 * k + 4] = Xo
+    return Jc, state.P[scene.view_idx][:, :, :3]
+
+
+def normal_blocks_oracle(scene, state, huber_threshold):
+    """Per-observation normal blocks: an (N_u, 2, 3) projection derivative,
+    batched Jacobian products and (N_u, dc, dc) blocks scattered into views
+    and points, over the observations the depth guard keeps.
+
+    Returns (U, V, W, gc, gp, usable) with W holding one block per usable
+    observation.
+    """
+    m, n = scene.num_views, scene.num_points
+    r, z = _residuals(scene, state.matrices(), state.points)
+    usable = np.abs(z[:, 2]) >= DEPTH_GUARD
+    w = np.sqrt(_huber_weights(r[usable], huber_threshold))
+    zs = z[usable]
+    dPi = np.zeros((int(usable.sum()), 2, 3))
+    inv = 1.0 / zs[:, 2]
+    dPi[:, 0, 0] = inv
+    dPi[:, 1, 1] = inv
+    dPi[:, 0, 2] = -zs[:, 0] * inv * inv
+    dPi[:, 1, 2] = -zs[:, 1] * inv * inv
+    dPi *= -w[:, None, None]
+    cam_jac, point_jac = _jacobians_oracle(scene, state, z)
+    Jc = dPi @ cam_jac[usable]
+    Jp = dPi @ point_jac[usable]
+    rw = r[usable] * w[:, None]
+    vi_u, pi_u = scene.view_idx[usable], scene.point_idx[usable]
+    U = scatter_add(vi_u, np.einsum("kab,kac->kbc", Jc, Jc), m)
+    V = scatter_add(pi_u, np.einsum("kab,kac->kbc", Jp, Jp), n)
+    gc = scatter_add(vi_u, np.einsum("kab,ka->kb", Jc, rw), m)
+    gp = scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
+    W = Jc.transpose(0, 2, 1) @ Jp
+    return U, V, W, gc, gp, usable

@@ -136,10 +136,18 @@ class TestInferBaEval:
                         str(recon_path), "--out", str(tmp_path / "ba3")])
         assert recon_path.read_bytes() == before
         diag = json.loads((tmp_path / "ba3" / "manifest.json").read_text())["diagnostics"]
-        assert diag["converged"] is True and diag["message"] == ""
-        assert len(diag["objectives"]) == 2          # one trace per round
-        for trace in diag["objectives"]:
+        assert diag["converged"] is True
+        for key in ("objectives", "lambdas", "rejected", "stop_reasons", "behind_camera"):
+            assert len(diag[key]) == 2               # one entry per round
+        for trace, lambdas in zip(diag["objectives"], diag["lambdas"]):
             assert trace and all(b < a for a, b in zip(trace, trace[1:]))
+            assert len(lambdas) == len(trace) - 1
+        # a converged run names the rounds that stopped at the iteration cap
+        # (this barely trained start runs round 1 into it)
+        capped = [str(k + 1) for k, why in enumerate(diag["stop_reasons"])
+                  if why == "iteration cap"]
+        assert diag["message"] == (
+            f"iteration cap (100) reached in round {', '.join(capped)}" if capped else "")
 
     def test_eval_ground_truth_is_zero(self, runner, tmp_path):
         """Evaluating the ground truth against itself prints zeros."""
@@ -250,3 +258,4 @@ class TestExitCodes:
         assert diag["converged"] is False
         assert diag["message"] == "non-finite objective at round start"
         assert diag["objectives"][0] == [None]
+        assert diag["stop_reasons"][0] == "non-finite start"

@@ -29,9 +29,10 @@ from tracksfm.network import Reconstruction
 from tracksfm.objective import loss
 from tracksfm.rotations import (axis_angle_to_matrix, matrix_to_quat,
                                 quat_multiply, quat_to_matrix)
-from tracksfm.scene import Scene, normalize_hartley
+from tracksfm.scene import Scene, normalize_hartley, project
 
 from conftest import make_scene, gt_reconstruction
+from oracles import normal_blocks_oracle, triangulate_oracle
 
 
 def perturbed_gt(raw, rng, rot_deg=2.0, center_frac=0.01, point_sigma=0.01):
@@ -80,6 +81,26 @@ class TestTriangulate:
         points, degenerate = triangulate(scene, recon)
         assert degenerate.all()
         np.testing.assert_array_equal(points, np.ones((2, 3)))  # kept input
+
+    def test_matches_per_point_oracle(self, rng):
+        """Stacked SVDs per track length give the per-point DLT's points and
+        degenerate mask bit for bit; point 0 keeps two views, made one
+        camera, with the same image point."""
+        scene, raw, _ = make_scene(num_views=6, num_points=60, visibility=0.6, seed=19)
+        recon = perturbed_gt(raw, rng)
+        vi, pi = scene.view_idx, scene.point_idx
+        a, b = vi[pi == 0][:2]
+        recon.quats[b], recon.centers[b] = recon.quats[a], recon.centers[a]
+        keep = (pi != 0) | (vi == a) | (vi == b)
+        xy = scene.xy.copy()
+        xy[(pi == 0) & (vi == b)] = xy[(pi == 0) & (vi == a)]
+        scene = replace(scene, view_idx=vi[keep], point_idx=pi[keep], xy=xy[keep])
+        assert len(np.unique(np.diff(scene.incidence.point_bounds))) >= 3
+        points, degenerate = triangulate(scene, recon)
+        want_points, want_degenerate = triangulate_oracle(scene, recon)
+        assert degenerate[0]
+        assert np.array_equal(degenerate, want_degenerate)
+        assert np.array_equal(points, want_points)
 
     def test_project_triangulate_identity(self, rng):
         """Round trip over 200 random noise-free points seen by 2-5 views."""
@@ -164,6 +185,77 @@ class TestBundleAdjust:
         bad.points[0] = bad.centers[0]     # point on a camera center
         refined, diag = bundle_adjust(scene, bad)
         assert not diag.converged
+        assert diag.stop_reasons[0] == "non-finite start"
+        assert diag.message == "non-finite objective at round start"
+
+    def test_round_record(self, rng):
+        """Per round: one damping value per accepted step, a rejected-step
+        count, a stop reason; the cap is named in the message of a run
+        that still counts as converged."""
+        scene, raw, _ = make_scene(num_views=8, num_points=60, visibility=0.9, seed=5)
+        start = perturbed_gt(raw, rng)
+        _, diag = bundle_adjust(scene, start, BaConfig(max_iters_per_round=2))
+        assert diag.converged
+        assert diag.stop_reasons == ["iteration cap", "iteration cap"]
+        assert diag.message == "iteration cap (2) reached in round 1, 2"
+        assert [len(lams) for lams in diag.lambdas] == [2, 2]
+        assert all(lam > 0 for lams in diag.lambdas for lam in lams)
+        _, diag = bundle_adjust(scene, start)
+        assert diag.converged and diag.message == ""
+        assert len(diag.stop_reasons) == len(diag.rejected) == 2
+        assert set(diag.stop_reasons) <= {"relative decrease", "gradient"}
+        for trace, lams, rejected in zip(diag.objectives, diag.lambdas, diag.rejected):
+            assert len(lams) == len(trace) - 1
+            assert isinstance(rejected, int) and rejected >= 0
+
+    def test_cheirality_counts(self):
+        """Observations with depth <= 0 at each round's start and end: a
+        point mirrored through camera 0's center starts behind it, and
+        round 2 starts from the re-triangulated points."""
+        scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3)
+        start = gt_reconstruction(raw)
+        pts = start.points.copy()
+        pts[0] = 2.0 * start.centers[0] - pts[0]
+        start.points = pts
+
+        def behind(recon):
+            _, z = project(camera_matrices(recon), recon.points,
+                           scene.view_idx, scene.point_idx)
+            return int((z[:, 2] <= 0).sum())
+
+        assert behind(start) >= 1
+        first, diag = bundle_adjust(scene, start, BaConfig(rounds=1))
+        assert diag.behind_camera == [[behind(start), behind(first)]]
+        retriangulated = replace(first, points=triangulate(scene, first)[0])
+        refined, diag = bundle_adjust(scene, start)
+        assert diag.behind_camera == [[behind(start), behind(first)],
+                                      [behind(retriangulated), behind(refined)]]
+        assert behind(retriangulated) == 0
+
+
+def scene_with_unusable_point(rng, mode, n, m=5):
+    """A perturbed start on an (m, n) scene where point 0 keeps two
+    observations and sits on the principal planes of both cameras, so the
+    depth guard drops both."""
+    scene, raw, _ = make_scene(num_views=m, num_points=n, visibility=0.8,
+                               seed=11, mode=mode)
+    start = perturbed_gt(raw, rng)
+    if mode == "euclidean":
+        state = _EuclideanState(start)
+    else:
+        scene, record = normalize_hartley(scene)
+        P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(start))
+        P /= np.linalg.norm(P.reshape(m, 12), axis=1)[:, None, None]
+        state = _ProjectiveState(Reconstruction(mode="projective", matrices=P,
+                                                points=start.points))
+    vi, pi = scene.view_idx, scene.point_idx
+    views = vi[pi == 0][:2]
+    keep = (pi != 0) | np.isin(vi, views)
+    scene = replace(scene, view_idx=vi[keep], point_idx=pi[keep], xy=scene.xy[keep])
+    depth_rows = state.matrices()[views, 2]
+    state.points[0] = np.linalg.lstsq(depth_rows[:, :3], -depth_rows[:, 3],
+                                      rcond=None)[0]
+    return scene, state
 
 
 class TestSchurAgainstDense:
@@ -184,36 +276,31 @@ class TestSchurAgainstDense:
     def test_slices_and_unusable_point_match_dense(self, rng, mode):
         """Points spanning three slices, the last one partial, including a
         point whose every observation has zero depth and so drops out of
-        the normal blocks."""
-        m, n = 5, 2 * SCHUR_SLICE + 37
-        scene, raw, _ = make_scene(num_views=m, num_points=n, visibility=0.8,
-                                   seed=11, mode=mode)
-        start = perturbed_gt(raw, rng)
-        if mode == "euclidean":
-            state = _EuclideanState(start)
-        else:
-            scene, record = normalize_hartley(scene)
-            P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(start))
-            P /= np.linalg.norm(P.reshape(m, 12), axis=1)[:, None, None]
-            state = _ProjectiveState(Reconstruction(mode="projective", matrices=P,
-                                                    points=start.points))
-        # keep two observations of point 0 and put it on the principal
-        # planes of both cameras
-        vi, pi = scene.view_idx, scene.point_idx
-        views = vi[pi == 0][:2]
-        keep = (pi != 0) | np.isin(vi, views)
-        scene = replace(scene, view_idx=vi[keep], point_idx=pi[keep], xy=scene.xy[keep])
-        depth_rows = state.matrices()[views, 2]
-        state.points[0] = np.linalg.lstsq(depth_rows[:, :3], -depth_rows[:, 3],
-                                          rcond=None)[0]
-
+        the normal blocks (its observations keep zero coupling blocks)."""
+        scene, state = scene_with_unusable_point(rng, mode, 2 * SCHUR_SLICE + 37)
         nb = _build_normal_blocks(scene, state, BaConfig())
-        assert 0 not in nb.pi and not nb.V[0].any() and not nb.gp[0].any()
+        assert not nb.W[nb.pi == 0].any() and not nb.V[0].any() and not nb.gp[0].any()
         for lam in (1e-3, 1e-1, 10.0):
             dc_s, dp_s = solve_schur_step(nb, lam)
             dc_d, dp_d = solve_dense_step(nb, lam)
             np.testing.assert_allclose(dc_s, dc_d, atol=1e-9)
             np.testing.assert_allclose(dp_s, dp_d, atol=1e-9)
+
+    @pytest.mark.parametrize("mode", ["euclidean", "projective"])
+    def test_blocks_match_per_observation_oracle(self, rng, mode):
+        """U, V, W, gc and gp against the per-observation block builder,
+        to 1e-12 of each array's largest entry; the unusable point's
+        observations carry zero coupling blocks."""
+        scene, state = scene_with_unusable_point(rng, mode, 60)
+        nb = _build_normal_blocks(scene, state, BaConfig())
+        U, V, W, gc, gp, usable = normal_blocks_oracle(scene, state, BaConfig().huber_threshold)
+        assert not usable.all()
+        np.testing.assert_array_equal(nb.vi, scene.view_idx)
+        np.testing.assert_array_equal(nb.pi, scene.point_idx)
+        for got, want in ((nb.U, U), (nb.V, V), (nb.W[usable], W), (nb.gc, gc), (nb.gp, gp)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert not nb.W[~usable].any()
 
     def test_gradient_blocks_match_fd(self, rng):
         """gc/gp are the gradient of the robust objective: check against

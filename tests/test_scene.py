@@ -26,6 +26,7 @@ from tracksfm.scene import (
 
 from conftest import make_scene, gt_reconstruction
 from tracksfm.objective import loss
+from tracksfm.train import inject_outliers
 
 
 def write_scene_json(tmp_path, doc, name="scene.json"):
@@ -303,3 +304,40 @@ class TestImmutability:
         scene, _, _ = make_scene(seed=0)
         with pytest.raises(ValueError):
             scene.xy[0, 0] = 9.9
+
+
+class TestIncidence:
+    @staticmethod
+    def check(scene):
+        inc = scene.incidence
+        np.testing.assert_array_equal(inc.point_order,
+                                      np.argsort(scene.point_idx, kind="stable"))
+        for bounds, idx, size in ((inc.view_bounds, scene.view_idx, scene.num_views),
+                                  (inc.point_bounds, scene.point_idx, scene.num_points)):
+            np.testing.assert_array_equal(np.diff(bounds), np.bincount(idx, minlength=size))
+            assert bounds[0] == 0
+        for i in range(scene.num_views):
+            lo, hi = inc.view_bounds[i], inc.view_bounds[i + 1]
+            assert (scene.view_idx[lo:hi] == i).all()
+        for j in range(scene.num_points):
+            lo, hi = inc.point_bounds[j], inc.point_bounds[j + 1]
+            assert (scene.point_idx[inc.point_order[lo:hi]] == j).all()
+
+    def test_matches_sort_and_counts(self):
+        scene, _, _ = make_scene(num_views=7, num_points=50, visibility=0.6, seed=3)
+        self.check(scene)
+        assert scene.incidence is scene.incidence          # computed once
+        with pytest.raises(ValueError):
+            scene.incidence.point_order[0] = 1
+
+    def test_derived_scenes_carry_their_own(self, rng):
+        scene, _, _ = make_scene(num_views=8, num_points=60, visibility=0.7, seed=4)
+        scene.incidence                                   # cache it on the parent
+        derived = [
+            replace(scene, point_idx=scene.num_points - 1 - scene.point_idx),
+            subsample_views(scene, [0, 2, 3, 5, 7])[0],
+            inject_outliers(scene, 0.1, rng)[0],
+        ]
+        for sub in derived:
+            assert sub.incidence is not scene.incidence
+            self.check(sub)
