@@ -28,7 +28,7 @@ from .objective import loss
 from .scene import (EUCLIDEAN, NormalizationRecord, Scene, SceneError,
                     SceneGenConfig, generate_synthetic, load_scene,
                     normalize_euclidean, normalize_hartley, save_scene)
-from .train import TrainConfig, load_checkpoint, save_checkpoint, train_loop
+from .train import TrainConfig, from_fields, load_checkpoint, save_checkpoint, train_loop
 
 EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
@@ -125,7 +125,7 @@ def synth(config_path, seed, out_dir):
         with open(config_path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     count = int(raw.pop("count", 1))
-    cfg = SceneGenConfig(**raw)
+    cfg = from_fields(SceneGenConfig, raw, "scene generator")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest("synth", {**raw, "count": count}, seed,

@@ -6,8 +6,9 @@ metrics (pixel reprojection, rotation degrees, translation distance).
 
 from __future__ import annotations
 
+import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,8 +107,8 @@ def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.nda
 
 # -- bundle adjustment --------------------------------------------------------
 
-def _residuals(scene: Scene, P: np.ndarray, points: np.ndarray):
-    xy, z = project(P, points, scene.view_idx, scene.point_idx)
+def _residuals(scene: Scene, recon: Reconstruction):
+    xy, z = project(camera_matrices(recon), recon.points, scene.view_idx, scene.point_idx)
     return scene.xy - xy, z
 
 
@@ -137,88 +138,44 @@ def _so3_exp_quat(w: np.ndarray) -> np.ndarray:
     return np.where(small, q_small, q)
 
 
-class _EuclideanState:
-    """Camera = (quat, center), 6 local dof: axis-angle increment composed
-    on the left of the rotation, plus a center offset."""
+def _stepped(recon: Reconstruction, delta_c: np.ndarray, delta_p: np.ndarray) -> Reconstruction:
+    """A new reconstruction moved by a camera step (m, dc) and a point step
+    (n, 3). Euclidean cameras take 6 local dof: an axis-angle increment
+    composed on the left of the rotation, plus a center offset. Projective
+    cameras take their 12 raw entries; the scale/sign gauge is then fixed
+    by renormalizing (the objective is invariant)."""
+    points = recon.points + delta_p
+    if recon.mode == EUCLIDEAN:
+        quats = quat_normalize(quat_multiply(_so3_exp_quat(delta_c[:, :3]), recon.quats))
+        return Reconstruction(mode=EUCLIDEAN, quats=quats, centers=recon.centers + delta_c[:, 3:],
+                              points=points)
+    flat = recon.matrices.reshape(-1, 12) + delta_c
+    norm = np.linalg.norm(flat, axis=1, keepdims=True)
+    flat /= np.where(norm < 1e-300, 1.0, norm)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
+    flat *= np.where(lead < 0, -1.0, 1.0)[:, None]
+    return Reconstruction(mode=PROJECTIVE, matrices=flat.reshape(-1, 3, 4), points=points)
 
-    def __init__(self, recon: Reconstruction):
-        self.quats = recon.quats.copy()
-        self.centers = recon.centers.copy()
-        self.points = recon.points.copy()
 
-    def matrices(self) -> np.ndarray:
-        return pose_matrices(quat_to_matrix(self.quats), self.centers)
-
-    def cam_jacobian(self, scene: Scene, z: np.ndarray) -> np.ndarray:
-        """d z / d [omega, dc] per observation, shape (3, 6, N)."""
-        J = np.zeros((3, 6, len(z)))
+def _jacobians(scene: Scene, recon: Reconstruction, z: np.ndarray):
+    """d z / d camera (3, dc, N) and d z / d point (3, 3, N) per observation,
+    in the camera parametrization of `_stepped`. d z / d point is the left
+    3x3 block of the camera matrix in both modes."""
+    Jp = camera_matrices(recon)[:, :, :3].transpose(1, 2, 0)[:, :, scene.view_idx]
+    if recon.mode == EUCLIDEAN:
+        Jc = np.zeros((3, 6, len(z)))
         # d(exp(w) z)/dw at w=0 is -[z]x
-        J[0, 1], J[0, 2] = z[:, 2], -z[:, 1]
-        J[1, 0], J[1, 2] = -z[:, 2], z[:, 0]
-        J[2, 0], J[2, 1] = z[:, 1], -z[:, 0]
-        J[:, 3:] = -self.point_jacobian(scene)
-        return J
-
-    def point_jacobian(self, scene: Scene) -> np.ndarray:
-        """d z / d X per observation, shape (3, 3, N)."""
-        return quat_to_matrix(self.quats).transpose(1, 2, 0)[:, :, scene.view_idx]
-
-    def apply_cam_step(self, delta: np.ndarray) -> None:
-        self.quats = quat_normalize(quat_multiply(_so3_exp_quat(delta[:, :3]), self.quats))
-        self.centers += delta[:, 3:]
-
-    def snapshot(self):
-        return (self.quats.copy(), self.centers.copy(), self.points.copy())
-
-    def restore(self, snap) -> None:
-        self.quats, self.centers, self.points = (a.copy() for a in snap)
-
-    def to_reconstruction(self) -> Reconstruction:
-        return Reconstruction(mode=EUCLIDEAN, quats=self.quats.copy(),
-                              centers=self.centers.copy(), points=self.points.copy())
-
-
-class _ProjectiveState:
-    """Camera = 3x4 matrix, 12 raw dof; the scale/sign gauge is fixed by
-    renormalizing after each accepted step (the objective is invariant)."""
-
-    def __init__(self, recon: Reconstruction):
-        self.P = recon.matrices.copy()
-        self.points = recon.points.copy()
-
-    def matrices(self) -> np.ndarray:
-        return self.P
-
-    def cam_jacobian(self, scene: Scene, z: np.ndarray) -> np.ndarray:
-        """d z / d P per observation, shape (3, 12, N)."""
-        J = np.zeros((3, 12, len(z)))
-        for k in range(3):
-            J[k, 4 * k:4 * k + 3] = self.points[scene.point_idx].T
-            J[k, 4 * k + 3] = 1.0
-        return J
-
-    def point_jacobian(self, scene: Scene) -> np.ndarray:
-        """d z / d X per observation, shape (3, 3, N)."""
-        return self.P[:, :, :3].transpose(1, 2, 0)[:, :, scene.view_idx]
-
-    def apply_cam_step(self, delta: np.ndarray) -> None:
-        self.P += delta.reshape(-1, 3, 4)
-        flat = self.P.reshape(-1, 12)
-        norm = np.linalg.norm(flat, axis=1, keepdims=True)
-        flat /= np.where(norm < 1e-300, 1.0, norm)
-        lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat), axis=1)]
-        flat *= np.where(lead < 0, -1.0, 1.0)[:, None]
-        self.P = flat.reshape(-1, 3, 4)
-
-    def snapshot(self):
-        return (self.P.copy(), self.points.copy())
-
-    def restore(self, snap) -> None:
-        self.P, self.points = (a.copy() for a in snap)
-
-    def to_reconstruction(self) -> Reconstruction:
-        return Reconstruction(mode=PROJECTIVE, matrices=self.P.copy(),
-                              points=self.points.copy())
+        Jc[0, 1], Jc[0, 2] = z[:, 2], -z[:, 1]
+        Jc[1, 0], Jc[1, 2] = -z[:, 2], z[:, 0]
+        Jc[2, 0], Jc[2, 1] = z[:, 1], -z[:, 0]
+        Jc[:, 3:] = -Jp
+        return Jc, Jp
+    Jc = np.zeros((3, 12, len(z)))
+    X = recon.points[scene.point_idx].T
+    for k in range(3):
+        Jc[k, 4 * k:4 * k + 3] = X
+        Jc[k, 4 * k + 3] = 1.0
+    return Jc, Jp
 
 
 @dataclass
@@ -243,10 +200,11 @@ _TRIU3 = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 _SYM3 = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
-def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
+def _build_normal_blocks(scene: Scene, recon: Reconstruction, r: np.ndarray, z: np.ndarray,
+                         cfg: BaConfig) -> _NormalBlocks:
+    """The blocks at recon, whose residuals and projections are (r, z)."""
     m, n = scene.num_views, scene.num_points
     inc = scene.incidence
-    r, z = _residuals(scene, state.matrices(), state.points)
     usable = np.abs(z[:, 2]) >= DEPTH_GUARD
     depth = np.where(usable, z[:, 2], 1.0)
     r = np.where(usable[:, None], r, 0.0)
@@ -264,8 +222,7 @@ def _build_normal_blocks(scene: Scene, state, cfg: BaConfig) -> _NormalBlocks:
         out[..., 1] = a * (J[1] - y * J[2])
         return out
 
-    Jc = rows(state.cam_jacobian(scene, z))
-    Jp = rows(state.point_jacobian(scene))
+    Jc, Jp = (rows(J) for J in _jacobians(scene, recon, z))
     rw = r * w[:, None]
 
     # U_i = A A^T and gc_i = A rw_i over view i's rows, A of shape (dc, 2 N_i)
@@ -374,16 +331,18 @@ def _behind(z: np.ndarray) -> int:
     return int(np.count_nonzero(z[:, 2] <= 0))
 
 
-def _lm_steps(scene: Scene, state, cfg: BaConfig, trace: list, lambdas: list, z):
-    """LM iterations from the state with finite objective trace[-1] and
-    projections z; mutates state and appends each accepted step's objective
-    and damping. Returns (stop reason, rejected steps, z of the final state)."""
+def _lm_steps(scene: Scene, recon: Reconstruction, r, z, cfg: BaConfig, trace: list,
+              lambdas: list):
+    """LM iterations from recon, whose residuals r and projections z give the
+    finite objective trace[-1]. Each trial is a new reconstruction, kept only
+    when the objective falls; appends each accepted step's objective and
+    damping. Returns (stop reason, rejected steps, final reconstruction, its z)."""
     lam, rejected, obj = LM_LAMBDA_INIT, 0, trace[-1]
     for _ in range(cfg.max_iters_per_round):
-        nb = _build_normal_blocks(scene, state, cfg)
+        nb = _build_normal_blocks(scene, recon, r, z, cfg)
         ginf = max(np.abs(nb.gc).max(initial=0.0), np.abs(nb.gp).max(initial=0.0))
         if ginf < GRAD_TOL:
-            return "gradient", rejected, z
+            return "gradient", rejected, recon, z
         while lam <= LM_LAMBDA_MAX:
             try:
                 delta_c, delta_p = solve_schur_step(nb, lam)
@@ -391,37 +350,35 @@ def _lm_steps(scene: Scene, state, cfg: BaConfig, trace: list, lambdas: list, z)
                 rejected += 1
                 lam *= LM_LAMBDA_SCALE
                 continue
-            snap = state.snapshot()
-            state.apply_cam_step(delta_c)
-            state.points += delta_p
-            r_new, z_new = _residuals(scene, state.matrices(), state.points)
+            trial = _stepped(recon, delta_c, delta_p)
+            r_new, z_new = _residuals(scene, trial)
             new_obj = _robust_objective(r_new, cfg.huber_threshold)
             if np.isfinite(new_obj) and new_obj < obj:
                 lambdas.append(lam)
                 lam = max(lam / LM_LAMBDA_SCALE, 1e-15)
                 rel = (obj - new_obj) / max(obj, 1e-300)
-                obj, z = new_obj, z_new
+                recon, r, z, obj = trial, r_new, z_new, new_obj
                 trace.append(obj)
                 break
-            state.restore(snap)
             rejected += 1
             lam *= LM_LAMBDA_SCALE
         else:
-            return "damping exhausted", rejected, z
+            return "damping exhausted", rejected, recon, z
         if rel < REL_DECREASE_TOL:
-            return "relative decrease", rejected, z
-    return "iteration cap", rejected, z
+            return "relative decrease", rejected, recon, z
+    return "iteration cap", rejected, recon, z
 
 
-def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) -> None:
-    """One Levenberg-Marquardt round; mutates state in place. Steps are
-    accepted only when the true robust objective decreases, so the recorded
-    trace is strictly decreasing."""
-    r, z = _residuals(scene, state.matrices(), state.points)
+def _lm_round(scene: Scene, recon: Reconstruction, cfg: BaConfig,
+              diagnostics: BaDiagnostics) -> Reconstruction:
+    """One Levenberg-Marquardt round from recon; returns the refined
+    reconstruction. Steps are accepted only when the true robust objective
+    decreases, so the recorded trace is strictly decreasing."""
+    r, z = _residuals(scene, recon)
     trace, lambdas = [_robust_objective(r, cfg.huber_threshold)], []
-    reason, rejected, z_end = "non-finite start", 0, z
+    reason, rejected, end, z_end = "non-finite start", 0, recon, z
     if np.isfinite(trace[0]):
-        reason, rejected, z_end = _lm_steps(scene, state, cfg, trace, lambdas, z)
+        reason, rejected, end, z_end = _lm_steps(scene, recon, r, z, cfg, trace, lambdas)
     if reason in _FAILURES:
         diagnostics.converged = False
         diagnostics.message = _FAILURES[reason]
@@ -430,6 +387,7 @@ def _lm_round(scene: Scene, state, cfg: BaConfig, diagnostics: BaDiagnostics) ->
     diagnostics.rejected.append(rejected)
     diagnostics.stop_reasons.append(reason)
     diagnostics.behind_camera.append([_behind(z), _behind(z_end)])
+    return end
 
 
 def bundle_adjust(scene: Scene, recon: Reconstruction,
@@ -439,7 +397,8 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
 
     The objective is non-increasing over accepted LM steps within each
     round (asserted by the diagnostics); re-triangulation between rounds
-    restarts the point coordinates from the refined cameras.
+    restarts the point coordinates from the refined cameras. The input is
+    left untouched, and the result shares no array with it.
     """
     cfg = cfg or BaConfig()
     if recon.mode != scene.mode:
@@ -447,19 +406,18 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
     if recon.points.shape[0] != scene.num_points:
         raise ValueError("reconstruction has wrong number of points")
     _check_camera_count(scene, recon)
-    state = _EuclideanState(recon) if recon.mode == EUCLIDEAN else _ProjectiveState(recon)
+    recon = copy.deepcopy(recon)
     diagnostics = BaDiagnostics()
     for rnd in range(cfg.rounds):
-        _lm_round(scene, state, cfg, diagnostics)
+        recon = _lm_round(scene, recon, cfg, diagnostics)
         if rnd < cfg.rounds - 1:
-            pts, _ = triangulate(scene, state.to_reconstruction())
-            state.points = pts
+            recon = replace(recon, points=triangulate(scene, recon)[0])
     capped = [str(k + 1) for k, why in enumerate(diagnostics.stop_reasons)
               if why == "iteration cap"]
     if capped and not diagnostics.message:
         diagnostics.message = (f"iteration cap ({cfg.max_iters_per_round}) reached "
                                f"in round {', '.join(capped)}")
-    return state.to_reconstruction(), diagnostics
+    return recon, diagnostics
 
 
 # -- similarity alignment ------------------------------------------------------
@@ -604,15 +562,38 @@ def save_reconstruction(recon: Reconstruction, path) -> None:
         json.dump(doc, f)
 
 
+def _numbers(value, name: str, width: int) -> np.ndarray:
+    """value as a finite (k, width) float64 array; ValueError names the field."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"reconstruction {name} must be lists of {width} numbers")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"reconstruction {name} must be finite")
+    return arr
+
+
 def load_reconstruction(path) -> Reconstruction:
+    """Read the JSON that `save_reconstruction` writes. Raises ValueError
+    naming the field when the mode is unknown, a shape is wrong, a value is
+    not finite or a quaternion has zero norm."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-    points = np.asarray(doc["points"], dtype=np.float64)
+    if not isinstance(doc, dict) or doc.get("mode") not in (EUCLIDEAN, PROJECTIVE):
+        raise ValueError(f"reconstruction mode must be {EUCLIDEAN!r} or {PROJECTIVE!r}")
+    cameras = doc.get("cameras")
+    if not isinstance(cameras, list) or not all(isinstance(c, dict) for c in cameras):
+        raise ValueError("reconstruction cameras must be a list of objects")
+    points = _numbers(doc.get("points"), "points", 3)
     if doc["mode"] == EUCLIDEAN:
-        quats = np.asarray([c["q"] for c in doc["cameras"]], dtype=np.float64)
-        centers = np.asarray([c["c"] for c in doc["cameras"]], dtype=np.float64)
+        quats = _numbers([c.get("q") for c in cameras], "camera q", 4)
+        if not np.linalg.norm(quats, axis=1).all():
+            raise ValueError("reconstruction camera q must have nonzero norm")
+        centers = _numbers([c.get("c") for c in cameras], "camera c", 3)
         return Reconstruction(mode=EUCLIDEAN, quats=quats, centers=centers, points=points)
-    matrices = np.asarray([c["P"] for c in doc["cameras"]], dtype=np.float64).reshape(-1, 3, 4)
+    matrices = _numbers([c.get("P") for c in cameras], "camera P", 12).reshape(-1, 3, 4)
     return Reconstruction(mode=PROJECTIVE, matrices=matrices, points=points)
 
 

@@ -251,7 +251,8 @@ def load_scene(path) -> Scene:
         raw_obs = doc["observations"]
     except KeyError as e:
         raise MalformedSceneError(f"missing required field {e}") from e
-    if not isinstance(raw_obs, list) or any(len(o) != 4 for o in raw_obs):
+    if not isinstance(raw_obs, list) or any(not isinstance(o, list) or len(o) != 4
+                                            for o in raw_obs):
         raise MalformedSceneError("observations must be a list of [i, j, x, y]")
     obs = np.asarray(raw_obs, dtype=np.float64).reshape(-1, 4)
     vi = obs[:, 0]
@@ -267,7 +268,8 @@ def load_scene(path) -> Scene:
     quats = centers = None
     if doc.get("gt_poses") is not None:
         poses = doc["gt_poses"]
-        if len(poses) != m or any(sorted(p.keys()) != ["c", "q"] for p in poses):
+        if (not isinstance(poses, list) or len(poses) != m
+                or any(not isinstance(p, dict) or sorted(p) != ["c", "q"] for p in poses)):
             raise MalformedSceneError("gt_poses must be m objects with 'q' and 'c'")
         quats = np.asarray([p["q"] for p in poses], dtype=np.float64)
         centers = np.asarray([p["c"] for p in poses], dtype=np.float64)

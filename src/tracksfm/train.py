@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -81,11 +81,19 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        d["net"] = NetConfig(**d.get("net", {}))
-        d["aug"] = AugmentConfig(**{k: tuple(v) if isinstance(v, list) else v
-                                    for k, v in d.get("aug", {}).items()})
-        d["outliers"] = OutlierConfig(**d.get("outliers", {}))
-        return cls(**d)
+        d["net"] = from_fields(NetConfig, d.get("net", {}), "net")
+        d["aug"] = from_fields(AugmentConfig, {k: tuple(v) if isinstance(v, list) else v
+                                               for k, v in d.get("aug", {}).items()}, "aug")
+        d["outliers"] = from_fields(OutlierConfig, d.get("outliers", {}), "outliers")
+        return from_fields(cls, d, "train config")
+
+
+def from_fields(cls, d: dict, name: str):
+    """cls(**d), raising ValueError for a key of d that names no field of cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {name} field {', '.join(map(repr, unknown))}")
+    return cls(**d)
 
 
 def lr_at(iteration: int, cfg: TrainConfig) -> float:

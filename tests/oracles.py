@@ -7,7 +7,7 @@ observation at a time, and compared against the production code.
 import numpy as np
 
 from tracksfm.autodiff import scatter_add
-from tracksfm.geometry import _EuclideanState, _huber_weights, _residuals, camera_matrices
+from tracksfm.geometry import _huber_weights, _residuals, camera_matrices
 from tracksfm.rotations import quat_normalize, quat_to_matrix
 from tracksfm.scene import DEPTH_GUARD
 
@@ -68,11 +68,11 @@ def triangulate_oracle(scene, recon):
     return points, degenerate
 
 
-def _jacobians_oracle(scene, state, z):
+def _jacobians_oracle(scene, recon, z):
     """Per-observation d z / d camera (N, 3, dc) and d z / d point (N, 3, 3)."""
     N = len(z)
-    if isinstance(state, _EuclideanState):
-        R = quat_to_matrix(state.quats)[scene.view_idx]
+    if recon.mode == "euclidean":
+        R = quat_to_matrix(recon.quats)[scene.view_idx]
         Jc = np.zeros((N, 3, 6))
         # d(exp(w) z)/dw at w=0 is -[z]x
         Jc[:, 0, 1], Jc[:, 0, 2] = z[:, 2], -z[:, 1]
@@ -80,15 +80,15 @@ def _jacobians_oracle(scene, state, z):
         Jc[:, 2, 0], Jc[:, 2, 1] = z[:, 1], -z[:, 0]
         Jc[:, :, 3:] = -R
         return Jc, R
-    Xh = np.concatenate([state.points, np.ones((len(state.points), 1))], axis=1)
+    Xh = np.concatenate([recon.points, np.ones((len(recon.points), 1))], axis=1)
     Xo = Xh[scene.point_idx]
     Jc = np.zeros((N, 3, 12))
     for k in range(3):
         Jc[:, k, 4 * k:4 * k + 4] = Xo
-    return Jc, state.P[scene.view_idx][:, :, :3]
+    return Jc, recon.matrices[scene.view_idx][:, :, :3]
 
 
-def normal_blocks_oracle(scene, state, huber_threshold):
+def normal_blocks_oracle(scene, recon, huber_threshold):
     """Per-observation normal blocks: an (N_u, 2, 3) projection derivative,
     batched Jacobian products and (N_u, dc, dc) blocks scattered into views
     and points, over the observations the depth guard keeps.
@@ -97,7 +97,7 @@ def normal_blocks_oracle(scene, state, huber_threshold):
     observation.
     """
     m, n = scene.num_views, scene.num_points
-    r, z = _residuals(scene, state.matrices(), state.points)
+    r, z = _residuals(scene, recon)
     usable = np.abs(z[:, 2]) >= DEPTH_GUARD
     w = np.sqrt(_huber_weights(r[usable], huber_threshold))
     zs = z[usable]
@@ -108,7 +108,7 @@ def normal_blocks_oracle(scene, state, huber_threshold):
     dPi[:, 0, 2] = -zs[:, 0] * inv * inv
     dPi[:, 1, 2] = -zs[:, 1] * inv * inv
     dPi *= -w[:, None, None]
-    cam_jac, point_jac = _jacobians_oracle(scene, state, z)
+    cam_jac, point_jac = _jacobians_oracle(scene, recon, z)
     Jc = dPi @ cam_jac[usable]
     Jp = dPi @ point_jac[usable]
     rw = r[usable] * w[:, None]

@@ -224,6 +224,50 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "gt_centers must be finite" in result.output
 
+    @pytest.mark.parametrize("command", ["ba", "eval", "export"])
+    @pytest.mark.parametrize("field, corrupt", [
+        ("points", lambda doc: doc.update(points=[p[:2] for p in doc["points"]])),
+        ("points must be finite", lambda doc: doc["points"][3].__setitem__(1, float("nan"))),
+        ("camera q must have nonzero norm",
+         lambda doc: doc["cameras"][1].update(q=[0.0, 0.0, 0.0, 0.0])),
+        ("camera q", lambda doc: doc["cameras"][1].update(q=[1.0, 0.0, 0.0])),
+        ("camera c must be finite", lambda doc: doc["cameras"][0]["c"].__setitem__(2, float("inf"))),
+        ("mode", lambda doc: doc.update(mode="affine")),
+    ], ids=["2d points", "nan point", "zero quaternion", "3-entry quaternion", "inf center",
+            "unknown mode"])
+    def test_bad_reconstruction_is_2(self, runner, tmp_path, command, field, corrupt):
+        """A malformed reconstruction file is rejected by field when read."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        doc = json.loads(recon_path.read_text())
+        corrupt(doc)
+        recon_path.write_text(json.dumps(doc))
+        args = {"ba": ["ba", "--scene", str(scene_path), "--out", str(tmp_path / "o")],
+                "eval": ["eval", "--scene", str(scene_path), "--out", str(tmp_path / "o")],
+                "export": ["export", "--out", str(tmp_path / "o.ply")]}[command]
+        result = runner.invoke(main, args + ["--recon", str(recon_path)])
+        assert result.exit_code == 2, result.output
+        assert f"reconstruction {field}" in result.output
+        assert not (tmp_path / "o.ply").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("synth", {"num_views": 6, "bogus": 1}),
+        ("train", {"epochs": 1, "bogus": 1}),
+        ("train", {"net": {"layers": 1, "bogus": 1}}),
+        ("train", {"aug": {"bogus": 1}}),
+        ("train", {"outliers": {"bogus": 1}}),
+    ], ids=["synth", "train", "train net", "train aug", "train outliers"])
+    def test_unknown_config_field_is_2(self, runner, tmp_path, command, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        if command == "train":
+            args += ["--scene", str(synth_scene(runner, tmp_path))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "unknown" in result.output and "'bogus'" in result.output
+
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)
         scene = load_scene(scene_path)

@@ -9,10 +9,9 @@ from tracksfm.geometry import (
     DegenerateConfigError,
     SimilarityTransform,
     _build_normal_blocks,
-    _EuclideanState,
-    _ProjectiveState,
     _residuals,
     _robust_objective,
+    _stepped,
     align_similarity,
     bundle_adjust,
     camera_matrices,
@@ -232,6 +231,38 @@ class TestBundleAdjust:
                                       [behind(retriangulated), behind(refined)]]
         assert behind(retriangulated) == 0
 
+    @pytest.mark.parametrize("case", ["ground truth, one round", "perturbed", "projective"])
+    def test_input_untouched_and_not_aliased(self, rng, case):
+        """The input keeps its values, and no returned array shares memory
+        with it, also when no step is accepted (one round from the exact
+        optimum stops at the gradient test)."""
+        scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3)
+        cfg = BaConfig()
+        if case == "ground truth, one round":
+            start, cfg = gt_reconstruction(raw), BaConfig(rounds=1)
+        elif case == "perturbed":
+            start = perturbed_gt(raw, rng)
+        else:
+            scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3, mode="projective")
+            scene, record = normalize_hartley(scene)
+            perturbed = perturbed_gt(raw, rng)
+            P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(perturbed))
+            P /= np.linalg.norm(P.reshape(6, 12), axis=1)[:, None, None]
+            start = Reconstruction(mode="projective", matrices=P, points=perturbed.points)
+        fields = ("points", "quats", "centers", "matrices")
+        inputs = [a for a in (getattr(start, f) for f in fields) if a is not None]
+        before = [a.copy() for a in inputs]
+        refined, diag = bundle_adjust(scene, start, cfg)
+        if case == "ground truth, one round":
+            assert diag.stop_reasons == ["gradient"] and diag.lambdas == [[]]
+        else:
+            assert diag.converged and diag.lambdas[0]        # round 1 steps
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+        outputs = [a for a in (getattr(refined, f) for f in fields) if a is not None]
+        assert len(outputs) == len(inputs)
+        assert not any(np.shares_memory(a, b) for a in outputs for b in inputs)
+
 
 def scene_with_unusable_point(rng, mode, n, m=5):
     """A perturbed start on an (m, n) scene where point 0 keeps two
@@ -240,22 +271,23 @@ def scene_with_unusable_point(rng, mode, n, m=5):
     scene, raw, _ = make_scene(num_views=m, num_points=n, visibility=0.8,
                                seed=11, mode=mode)
     start = perturbed_gt(raw, rng)
-    if mode == "euclidean":
-        state = _EuclideanState(start)
-    else:
+    if mode == "projective":
         scene, record = normalize_hartley(scene)
         P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(start))
         P /= np.linalg.norm(P.reshape(m, 12), axis=1)[:, None, None]
-        state = _ProjectiveState(Reconstruction(mode="projective", matrices=P,
-                                                points=start.points))
+        start = Reconstruction(mode="projective", matrices=P, points=start.points)
     vi, pi = scene.view_idx, scene.point_idx
     views = vi[pi == 0][:2]
     keep = (pi != 0) | np.isin(vi, views)
     scene = replace(scene, view_idx=vi[keep], point_idx=pi[keep], xy=scene.xy[keep])
-    depth_rows = state.matrices()[views, 2]
-    state.points[0] = np.linalg.lstsq(depth_rows[:, :3], -depth_rows[:, 3],
+    depth_rows = camera_matrices(start)[views, 2]
+    start.points[0] = np.linalg.lstsq(depth_rows[:, :3], -depth_rows[:, 3],
                                       rcond=None)[0]
-    return scene, state
+    return scene, start
+
+
+def normal_blocks(scene, recon, cfg=BaConfig()):
+    return _build_normal_blocks(scene, recon, *_residuals(scene, recon), cfg)
 
 
 class TestSchurAgainstDense:
@@ -264,8 +296,7 @@ class TestSchurAgainstDense:
         equation solve."""
         scene, raw, _ = make_scene(num_views=5, num_points=25, visibility=0.8,
                                    seed=9)
-        state = _EuclideanState(perturbed_gt(raw, rng))
-        nb = _build_normal_blocks(scene, state, BaConfig())
+        nb = normal_blocks(scene, perturbed_gt(raw, rng))
         for lam in (1e-3, 1e-1, 10.0):
             dc_s, dp_s = solve_schur_step(nb, lam)
             dc_d, dp_d = solve_dense_step(nb, lam)
@@ -277,8 +308,8 @@ class TestSchurAgainstDense:
         """Points spanning three slices, the last one partial, including a
         point whose every observation has zero depth and so drops out of
         the normal blocks (its observations keep zero coupling blocks)."""
-        scene, state = scene_with_unusable_point(rng, mode, 2 * SCHUR_SLICE + 37)
-        nb = _build_normal_blocks(scene, state, BaConfig())
+        scene, start = scene_with_unusable_point(rng, mode, 2 * SCHUR_SLICE + 37)
+        nb = normal_blocks(scene, start)
         assert not nb.W[nb.pi == 0].any() and not nb.V[0].any() and not nb.gp[0].any()
         for lam in (1e-3, 1e-1, 10.0):
             dc_s, dp_s = solve_schur_step(nb, lam)
@@ -291,9 +322,9 @@ class TestSchurAgainstDense:
         """U, V, W, gc and gp against the per-observation block builder,
         to 1e-12 of each array's largest entry; the unusable point's
         observations carry zero coupling blocks."""
-        scene, state = scene_with_unusable_point(rng, mode, 60)
-        nb = _build_normal_blocks(scene, state, BaConfig())
-        U, V, W, gc, gp, usable = normal_blocks_oracle(scene, state, BaConfig().huber_threshold)
+        scene, start = scene_with_unusable_point(rng, mode, 60)
+        nb = normal_blocks(scene, start)
+        U, V, W, gc, gp, usable = normal_blocks_oracle(scene, start, BaConfig().huber_threshold)
         assert not usable.all()
         np.testing.assert_array_equal(nb.vi, scene.view_idx)
         np.testing.assert_array_equal(nb.pi, scene.point_idx)
@@ -306,34 +337,30 @@ class TestSchurAgainstDense:
         """gc/gp are the gradient of the robust objective: check against
         central differences through the camera and point parameters."""
         scene, raw, _ = make_scene(num_views=3, num_points=10, seed=10)
-        state = _EuclideanState(perturbed_gt(raw, rng, rot_deg=5.0,
-                                             center_frac=0.05, point_sigma=0.05))
+        start = perturbed_gt(raw, rng, rot_deg=5.0, center_frac=0.05, point_sigma=0.05)
         cfg = BaConfig()
-        nb = _build_normal_blocks(scene, state, cfg)
+        nb = normal_blocks(scene, start, cfg)
 
-        def objective(st):
-            r, _ = _residuals(scene, st.matrices(), st.points)
+        def objective(recon):
+            r, _ = _residuals(scene, recon)
             return _robust_objective(r, cfg.huber_threshold)
 
         h = 1e-6
+        no_points = np.zeros_like(start.points)
         # camera 0, all six local coordinates
         for k in range(6):
-            for sign in (1,):
-                delta = np.zeros((3, 6))
-                plus = _EuclideanState(state.to_reconstruction())
-                delta[0, k] = h
-                plus.apply_cam_step(delta)
-                minus = _EuclideanState(state.to_reconstruction())
-                delta[0, k] = -h
-                minus.apply_cam_step(delta)
-                fd = (objective(plus) - objective(minus)) / (2 * h)
-                assert abs(fd - nb.gc[0, k]) <= 1e-4 * max(1.0, abs(fd))
+            delta = np.zeros((3, 6))
+            delta[0, k] = h
+            plus = _stepped(start, delta, no_points)
+            minus = _stepped(start, -delta, no_points)
+            fd = (objective(plus) - objective(minus)) / (2 * h)
+            assert abs(fd - nb.gc[0, k]) <= 1e-4 * max(1.0, abs(fd))
         # point 0, three coordinates
         for k in range(3):
-            plus = _EuclideanState(state.to_reconstruction())
-            plus.points[0, k] += h
-            minus = _EuclideanState(state.to_reconstruction())
-            minus.points[0, k] -= h
+            delta = np.zeros_like(start.points)
+            delta[0, k] = h
+            plus = replace(start, points=start.points + delta)
+            minus = replace(start, points=start.points - delta)
             fd = (objective(plus) - objective(minus)) / (2 * h)
             assert abs(fd - nb.gp[0, k]) <= 1e-4 * max(1.0, abs(fd))
 

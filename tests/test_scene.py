@@ -83,6 +83,18 @@ class TestLoadScene:
         with pytest.raises(MalformedSceneError):
             load_scene(write_scene_json(tmp_path, doc))
 
+    def test_observation_not_a_list(self, tmp_path):
+        doc = dict(MINIMAL, observations=[1, 2, 3])
+        with pytest.raises(MalformedSceneError, match="observations"):
+            load_scene(write_scene_json(tmp_path, doc))
+
+    @pytest.mark.parametrize("poses", [[1, 2], [[1, 0, 0, 0], [0, 0, 0]], 7],
+                             ids=["numbers", "lists", "number"])
+    def test_gt_poses_not_objects(self, tmp_path, poses):
+        doc = dict(MINIMAL, gt_poses=poses)
+        with pytest.raises(MalformedSceneError, match="gt_poses"):
+            load_scene(write_scene_json(tmp_path, doc))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_observation(self, tmp_path, bad):
         doc = dict(MINIMAL)
