@@ -236,14 +236,14 @@ class TestBundleAdjust:
         """The input keeps its values, and no returned array shares memory
         with it, also when no step is accepted (one round from the exact
         optimum stops at the gradient test)."""
-        scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3)
+        mode = "projective" if case == "projective" else "euclidean"
+        scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3, mode=mode)
         cfg = BaConfig()
         if case == "ground truth, one round":
             start, cfg = gt_reconstruction(raw), BaConfig(rounds=1)
         elif case == "perturbed":
             start = perturbed_gt(raw, rng)
         else:
-            scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3, mode="projective")
             scene, record = normalize_hartley(scene)
             perturbed = perturbed_gt(raw, rng)
             P = np.einsum("kab,kbc->kac", record.transforms, camera_matrices(perturbed))
