@@ -8,8 +8,13 @@ into every requires_grad leaf.
 
 The primitive set is what the attention network, loss, and optimizer
 compose: matmul, elementwise arithmetic, concat/narrow/gather/reshape,
-scatter-add and softmax over index segments, leaky_relu/relu, layer_norm,
-sqrt, where, and sum/mean reductions. All forward values are float64.
+scatter-add and softmax over index segments, leaky_relu/relu, sqrt, where,
+and sum/mean reductions, plus two fused ones with hand-derived adjoints:
+`gatv2`, a whole GATv2 attention aggregation, and `layer_norm`, the
+affine layer norm. Each fused primitive repeats the operations of the
+composition it replaces in the same order and keeps its tape order, so
+values and gradients are bit-identical to that composition, while the
+tape holds one node instead of 17 or 3. All forward values are float64.
 Identical inputs give bit-identical outputs only within one numpy build,
 BLAS kernel and BLAS thread count: matrix products round differently
 under another kernel or thread count.
@@ -347,14 +352,37 @@ def gather(t: Tensor, index: np.ndarray) -> Tensor:
     return out
 
 
-def segment_sum(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
-    """Scatter-add rows of t into num_segments output rows (out[k] = sum
-    over rows e with index[e] == k)."""
+def _segments(index, rows: int, num_segments: int, nonempty: bool = False) -> np.ndarray:
+    """index as int64, checked to hold one segment in [0, num_segments)
+    per row; with nonempty, also that every segment occurs."""
     index = np.asarray(index, dtype=np.int64)
-    if index.shape != (t.values.shape[0],):
+    if index.shape != (rows,):
         raise SegmentIndexError("segment index must have one entry per row")
     if index.size and (index.min() < 0 or index.max() >= num_segments):
         raise SegmentIndexError("segment index out of range")
+    if nonempty and (num_segments < 1 or np.bincount(index, minlength=num_segments).min() == 0):
+        raise SegmentIndexError("segment softmax over an empty segment")
+    return index
+
+
+def _softmax(x: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
+    """Softmax of the rows of x within each segment, per trailing column."""
+    mx = np.full((num_segments,) + x.shape[1:], -np.inf)
+    np.maximum.at(mx, index, x)
+    ex = np.exp(x - mx[index])
+    return ex / scatter_add(index, ex, num_segments)[index]
+
+
+def _softmax_vjp(g: np.ndarray, alpha: np.ndarray, index: np.ndarray,
+                 num_segments: int) -> np.ndarray:
+    inner = scatter_add(index, g * alpha, num_segments)
+    return alpha * (g - inner[index])
+
+
+def segment_sum(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
+    """Scatter-add rows of t into num_segments output rows (out[k] = sum
+    over rows e with index[e] == k)."""
+    index = _segments(index, t.values.shape[0], num_segments)
     out = Tensor(scatter_add(index, t.values, num_segments), _parents=(t,))
     out._vjp = lambda g: t._add_grad(g[index], owned=True)
     return out
@@ -366,25 +394,86 @@ def segment_softmax(t: Tensor, index: np.ndarray, num_segments: int) -> Tensor:
     Every segment must be non-empty (an attention target with no incoming
     edge has no distribution).
     """
-    index = np.asarray(index, dtype=np.int64)
-    if index.shape != (t.values.shape[0],):
-        raise SegmentIndexError("segment index must have one entry per row")
-    if index.size == 0 or index.min() < 0 or index.max() >= num_segments:
-        raise SegmentIndexError("segment index out of range")
-    if np.bincount(index, minlength=num_segments).min() == 0:
-        raise SegmentIndexError("segment softmax over an empty segment")
-    tail = t.values.shape[1:]
-    mx = np.full((num_segments,) + tail, -np.inf)
-    np.maximum.at(mx, index, t.values)
-    ex = np.exp(t.values - mx[index])
-    alpha = ex / scatter_add(index, ex, num_segments)[index]
+    index = _segments(index, t.values.shape[0], num_segments, nonempty=True)
+    alpha = _softmax(t.values, index, num_segments)
     out = Tensor(alpha, _parents=(t,))
+    out._vjp = lambda g: t._add_grad(_softmax_vjp(g, alpha, index, num_segments), owned=True)
+    return out
+
+
+def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
+          n_tgt: int, heads: int, slope: float) -> tuple[Tensor, np.ndarray]:
+    """GATv2 attention aggregation over a directed bipartite edge set, as
+    one primitive (Brody et al., ICLR 2022).
+
+    Row e of `src` (E, d) is the source of edge e, which points into row
+    `edge_tgt[e]` of `tgt` (n_tgt, d). `w` (2d, da) stacks the target and
+    source halves of the linear map, and `a` (da,) holds the score vectors
+    of `heads` heads of width da / heads. Per head, the edge score is
+    a . leaky_relu(W_tgt h_tgt + W_src h_src); the scores are softmax-
+    normalized over each target's in-edges (a target without one raises
+    SegmentIndexError) and weight the source projections W_src h_src.
+    Returns the (n_tgt, da) output and the (E, heads) weights.
+
+    The forward and the vjp repeat, operation for operation, the
+    narrow/matmul/gather/add/leaky_relu/reshape/mul/tsum/segment_softmax/
+    segment_sum composition (tests/oracles.py::gatv2_oracle), so values and
+    gradients are bit-identical to it. The parents are listed (tgt, src, w,
+    a) so that the tape visits the inputs in the composition's order, and
+    adjoints reach nodes with several consumers in the same order.
+    """
+    d1 = src.shape[1]
+    if tgt.shape[1] != d1:
+        raise ShapeError(f"gatv2: target dim {tgt.shape[1]} != source dim {d1}")
+    if src.shape[0] != len(edge_tgt):
+        raise ShapeError(f"gatv2: {src.shape[0]} source rows for {len(edge_tgt)} edges")
+    if tgt.shape[0] != n_tgt:
+        raise ShapeError(f"gatv2: {tgt.shape[0]} target rows for {n_tgt} targets")
+    da = a.values.size
+    if a.shape != (da,) or da % heads or w.shape != (2 * d1, da):
+        raise ShapeError(f"gatv2: weights {w.shape} and scores {a.shape} for width {d1} "
+                         f"and {heads} heads")
+    index = _segments(edge_tgt, src.shape[0], n_tgt, nonempty=True)
+    hd = da // heads
+    w_tgt, w_src = w.values[:d1], w.values[d1:]
+    s_proj = src.values @ w_src                              # (E, da)
+    pre = (tgt.values @ w_tgt)[index] + s_proj
+    pos = pre > 0
+    act3 = np.where(pos, pre, slope * pre).reshape(-1, heads, hd)
+    a3 = a.values.reshape(1, heads, hd)
+    alpha = _softmax((act3 * a3).sum(axis=2), index, n_tgt)  # (E, heads)
+    msg = s_proj.reshape(-1, heads, hd)
+    alpha3 = alpha.reshape(-1, heads, 1)
+    out = Tensor(scatter_add(index, (msg * alpha3).reshape(-1, da), n_tgt),
+                 _parents=(tgt, src, w, a))
 
     def vjp(g):
-        inner = scatter_add(index, g * alpha, num_segments)
-        t._add_grad(alpha * (g - inner[index]), owned=True)
+        g3 = g[index].reshape(-1, heads, hd)
+        g_alpha = _unbroadcast(g3 * msg, alpha3.shape).reshape(alpha.shape)
+        g_scores = _softmax_vjp(g_alpha, alpha, index, n_tgt)
+        g_prod = np.broadcast_to(g_scores[:, :, None], act3.shape)
+        if a._needs:
+            a._add_grad(_unbroadcast(g_prod * act3, a3.shape).reshape(a.shape), owned=True)
+        if not (tgt._needs or src._needs or w._needs):
+            return
+        g_act = (g_prod * a3).reshape(-1, da)
+        g_pre = np.where(pos, g_act, slope * g_act)
+        if tgt._needs or w._needs:
+            g_t = scatter_add(index, g_pre, n_tgt)
+            if tgt._needs:
+                tgt._add_grad(g_t @ w_tgt.T, owned=True)
+            if w._needs:
+                if w.grad is None:
+                    w.grad = np.zeros_like(w.values)
+                w.grad[:d1] += tgt.values.T @ g_t
+        if src._needs or w._needs:
+            g_s = (g3 * alpha3).reshape(-1, da) + g_pre
+            if src._needs:
+                src._add_grad(g_s @ w_src.T, owned=True)
+            if w._needs:
+                w.grad[d1:] += src.values.T @ g_s
     out._vjp = vjp
-    return out
+    return out, alpha
 
 
 def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
@@ -401,20 +490,29 @@ def relu(t: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(t: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the feature (last) axis to zero mean, unit variance."""
+def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the feature (last) axis to zero mean and unit
+    variance, then scale by `gain` and shift by `bias`. Values and
+    gradients are bit-identical to the normalization followed by a mul and
+    an add primitive; the parents (t, gain, bias) keep their tape order."""
     x = t.values
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = xc * inv
-    out = Tensor(y, _parents=(t,))
+    out = Tensor(y * gain.values + bias.values, _parents=(t, gain, bias))
 
     def vjp(g):
-        g_mean = g.mean(axis=-1, keepdims=True)
-        gy_mean = (g * y).mean(axis=-1, keepdims=True)
-        t._add_grad(inv * (g - g_mean - y * gy_mean), owned=True)
+        if bias._needs:
+            _add_passed(bias, g)
+        if gain._needs:
+            gain._add_grad(_unbroadcast(g * y, gain.values.shape), owned=True)
+        if t._needs:
+            gy = g * gain.values
+            g_mean = gy.mean(axis=-1, keepdims=True)
+            gy_mean = (gy * y).mean(axis=-1, keepdims=True)
+            t._add_grad(inv * (gy - g_mean - y * gy_mean), owned=True)
     out._vjp = vjp
     return out
 

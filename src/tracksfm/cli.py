@@ -124,7 +124,11 @@ def synth(config_path, seed, out_dir):
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    count = int(raw.pop("count", 1))
+    if not isinstance(raw, dict):
+        raise ValueError("scene generator config must be a JSON object")
+    count = raw.pop("count", 1)
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError("scene generator field 'count' must be an integer")
     cfg = from_fields(SceneGenConfig, raw, "scene generator")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -157,7 +161,7 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
             cfg_dict = json.load(f)
-    cfg = TrainConfig.from_dict(cfg_dict) if cfg_dict else TrainConfig()
+    cfg = TrainConfig.from_dict(cfg_dict) if config_path else TrainConfig()
     if seed is not None:
         cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
     scenes = [prepare_scene(load_scene(p))[0] for p in scene_paths]

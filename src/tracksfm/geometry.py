@@ -84,8 +84,11 @@ def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.nda
 
     Returns (points (n, 3), degenerate mask). A point is flagged degenerate
     when the system is rank-deficient (all rays parallel) or the
-    homogeneous solution has (near-)zero last coordinate; flagged points
-    keep the input reconstruction's coordinates.
+    homogeneous solution has (near-)zero last coordinate, and in euclidean
+    mode also when the solution has depth <= 0 in a camera that observes
+    it (cheirality; Hartley, "Chirality", IJCV 1998). Flagged points keep
+    the input reconstruction's coordinates. Projective cameras carry no
+    depth sign, so that mode has no cheirality test.
     """
     P = camera_matrices(recon)
     inc = scene.incidence
@@ -100,8 +103,12 @@ def triangulate(scene: Scene, recon: Reconstruction) -> tuple[np.ndarray, np.nda
         _, sv, Vt = np.linalg.svd(A.reshape(len(js), 2 * length, 4), full_matrices=False)
         X = Vt[:, -1]
         bad = (sv[:, 2] <= 1e-10 * sv[:, 0]) | (np.abs(X[:, 3]) < 1e-12)
+        X = X[:, :3] / np.where(bad, 1.0, X[:, 3])[:, None]
+        if recon.mode == EUCLIDEAN:
+            depth = np.einsum("plk,pk->pl", Pv[:, :, 2, :3], X) + Pv[:, :, 2, 3]
+            bad |= (depth <= 0).any(axis=1)
         degenerate[js] = bad
-        points[js[~bad]] = X[~bad, :3] / X[~bad, 3:]
+        points[js[~bad]] = X[~bad]
     return points, degenerate
 
 
@@ -403,9 +410,7 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
     cfg = cfg or BaConfig()
     if recon.mode != scene.mode:
         raise ValueError("reconstruction mode does not match scene mode")
-    if recon.points.shape[0] != scene.num_points:
-        raise ValueError("reconstruction has wrong number of points")
-    _check_camera_count(scene, recon)
+    _check_counts(scene, recon)
     recon = copy.deepcopy(recon)
     diagnostics = BaDiagnostics()
     for rnd in range(cfg.rounds):
@@ -502,10 +507,14 @@ class MetricsReport:
         }
 
 
-def _check_camera_count(scene: Scene, recon: Reconstruction) -> None:
+def _check_counts(scene: Scene, recon: Reconstruction) -> None:
+    """One camera per view and one point per scene point, or ValueError."""
     if recon.num_views != scene.num_views:
         raise ValueError(f"reconstruction has {recon.num_views} cameras, "
                          f"scene has {scene.num_views} views")
+    if len(recon.points) != scene.num_points:
+        raise ValueError(f"reconstruction has {len(recon.points)} points, "
+                         f"scene has {scene.num_points}")
 
 
 def reprojection_errors_px(scene: Scene, recon: Reconstruction,
@@ -514,7 +523,7 @@ def reprojection_errors_px(scene: Scene, recon: Reconstruction,
     mapping both measured and projected points back through the
     normalization record (identity when none is given). Observations whose
     projection falls under the projector's depth guard read inf."""
-    _check_camera_count(scene, recon)
+    _check_counts(scene, recon)
     xy, _ = project(camera_matrices(recon), recon.points, scene.view_idx, scene.point_idx)
     guarded = np.isinf(xy[:, 0])
     if record is None:
@@ -576,9 +585,10 @@ def _numbers(value, name: str, width: int) -> np.ndarray:
 
 
 def load_reconstruction(path) -> Reconstruction:
-    """Read the JSON that `save_reconstruction` writes. Raises ValueError
-    naming the field when the mode is unknown, a shape is wrong, a value is
-    not finite or a quaternion has zero norm."""
+    """Read the JSON that `save_reconstruction` writes, with every
+    quaternion scaled to unit norm. Raises ValueError naming the field when
+    the mode is unknown, a shape is wrong, a value is not finite or a
+    quaternion has zero norm."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("mode") not in (EUCLIDEAN, PROJECTIVE):
@@ -592,7 +602,8 @@ def load_reconstruction(path) -> Reconstruction:
         if not np.linalg.norm(quats, axis=1).all():
             raise ValueError("reconstruction camera q must have nonzero norm")
         centers = _numbers([c.get("c") for c in cameras], "camera c", 3)
-        return Reconstruction(mode=EUCLIDEAN, quats=quats, centers=centers, points=points)
+        return Reconstruction(mode=EUCLIDEAN, quats=quat_normalize(quats), centers=centers,
+                              points=points)
     matrices = _numbers([c.get("P") for c in cameras], "camera P", 12).reshape(-1, 3, 4)
     return Reconstruction(mode=PROJECTIVE, matrices=matrices, points=points)
 

@@ -15,6 +15,7 @@ differentiable with respect to every parameter.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -160,11 +161,40 @@ def parameter_count(cfg: NetConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(cfg).values())
 
 
-class ModelParams:
-    """All learned weights, addressable by canonical name."""
+def flat_views(buffer: np.ndarray, shapes) -> "OrderedDict[str, np.ndarray]":
+    """One view of `buffer` per (name, shape) item of `shapes`, laid out
+    back to back in that order."""
+    views: OrderedDict[str, np.ndarray] = OrderedDict()
+    offset = 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = buffer[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
-    def __init__(self, cfg: NetConfig, tensors: "OrderedDict[str, Tensor]"):
+
+class ModelParams:
+    """All learned weights, addressable by canonical name.
+
+    The values live in one contiguous float64 buffer, `flat`, and every
+    parameter's `values` is a view of it, in the order of `tensors`.
+    Without `tensors` the parameters of `cfg` are allocated as zeros in
+    param_shapes order, the checkpoint layout. Given tensors are copied
+    into the buffer and rebound to their views.
+    """
+
+    def __init__(self, cfg: NetConfig, tensors: "OrderedDict[str, Tensor] | None" = None):
         self.cfg = cfg
+        shapes = param_shapes(cfg) if tensors is None else \
+            OrderedDict((name, t.values.shape) for name, t in tensors.items())
+        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        views = flat_views(self.flat, shapes)
+        if tensors is None:
+            tensors = OrderedDict((name, ad.parameter(v)) for name, v in views.items())
+        else:
+            for name, t in tensors.items():
+                views[name][...] = t.values
+                t.values = views[name]
         self.tensors = tensors
 
     def __getitem__(self, name: str) -> Tensor:
@@ -174,7 +204,7 @@ class ModelParams:
         return _ParamView(self.tensors, prefix)
 
     def count(self) -> int:
-        return sum(t.values.size for t in self.tensors.values())
+        return self.flat.size
 
 
 class _ParamView:
@@ -197,31 +227,32 @@ def init_params(cfg: NetConfig, seed: int) -> ModelParams:
 
     For attention score vectors fan_in is the per-head width; for matrices
     it is the input dimension. Drawing follows canonical parameter order,
-    so a seed fully determines the result.
+    so a seed fully determines the result. The draws go straight into the
+    parameter buffer: random() in [0, 1), times 2 bound, minus bound, is
+    bit-identical to uniform(-bound, bound).
     """
     rng = np.random.default_rng(seed)
-    tensors: OrderedDict[str, Tensor] = OrderedDict()
-    for name, shape in param_shapes(cfg).items():
+    params = ModelParams(cfg)
+    for name, p in params.tensors.items():
         leaf = name.rsplit(".", 1)[-1]
-        if leaf == "b" or name.endswith("ln.b"):
-            values = np.zeros(shape)
-        elif leaf == "g":
-            values = np.ones(shape)
-        elif leaf == "a":
-            bound = 1.0 / np.sqrt(shape[0] // NUM_HEADS)
-            values = rng.uniform(-bound, bound, size=shape)
-        else:
-            bound = 1.0 / np.sqrt(shape[0])
-            values = rng.uniform(-bound, bound, size=shape)
-        tensors[name] = ad.parameter(values)
-    return ModelParams(cfg, tensors)
+        if leaf == "b":
+            continue
+        if leaf == "g":
+            p.values.fill(1.0)
+            continue
+        fan_in = p.shape[0] // NUM_HEADS if leaf == "a" else p.shape[0]
+        bound = 1.0 / np.sqrt(fan_in)
+        rng.random(out=p.values)
+        p.values *= 2 * bound
+        p.values += -bound
+    return params
 
 
 # -- building blocks -------------------------------------------------------
 
 def _ln_affine(x: Tensor, pv, name: str) -> Tensor:
     sub = pv.sub(name)
-    return ad.layer_norm(x, LN_EPS) * sub["g"] + sub["b"]
+    return ad.layer_norm(x, sub["g"], sub["b"], LN_EPS)
 
 
 def _linear(x: Tensor, pv, name: str) -> Tensor:
@@ -238,30 +269,13 @@ def gatv2_attention(src: Tensor, tgt: Tensor, edge_tgt: np.ndarray, n_tgt: int,
     h_src]); scores are softmax-normalized over each target's in-edges
     (a target without one raises SegmentIndexError) and weight the
     source-side linear projections. Head outputs are concatenated. With
-    return_weights, also returns the (E, heads) attention distribution.
+    return_weights, also returns the (E, heads) attention distribution as
+    a constant tensor. One `ad.gatv2` primitive computes it all.
     """
-    d1 = src.shape[1]
-    if tgt.shape[1] != d1:
-        raise ad.ShapeError(f"gatv2: target dim {tgt.shape[1]} != source dim {d1}")
-    if src.shape[0] != len(edge_tgt):
-        raise ad.ShapeError(f"gatv2: {src.shape[0]} source rows for {len(edge_tgt)} edges")
-    da = _att_dim(d1)
-    hd = da // NUM_HEADS
-    w = pv["att.w"]
-    w_tgt = ad.narrow(w, 0, 0, d1)
-    w_src = ad.narrow(w, 0, d1, d1)
-    s_proj = ad.matmul(src, w_src)                      # (E, da)
-    t_proj = ad.matmul(tgt, w_tgt)                      # (n_tgt, da)
-    act = ad.leaky_relu(ad.gather(t_proj, edge_tgt) + s_proj, LEAKY_SLOPE)
-    heads = ad.reshape(act, (-1, NUM_HEADS, hd))
-    a = ad.reshape(pv["att.a"], (1, NUM_HEADS, hd))
-    scores = ad.tsum(heads * a, axis=2)                 # (E, heads)
-    alpha = ad.segment_softmax(scores, edge_tgt, n_tgt)
-    msg = ad.reshape(s_proj, (-1, NUM_HEADS, hd))
-    weighted = msg * ad.reshape(alpha, (-1, NUM_HEADS, 1))
-    out = ad.segment_sum(ad.reshape(weighted, (-1, da)), edge_tgt, n_tgt)
+    out, alpha = ad.gatv2(src, tgt, pv["att.w"], pv["att.a"], edge_tgt, n_tgt,
+                          NUM_HEADS, LEAKY_SLOPE)
     if return_weights:
-        return out, alpha
+        return out, ad.constant(alpha)
     return out
 
 

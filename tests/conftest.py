@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from tracksfm.network import Reconstruction
 from tracksfm.scene import SceneGenConfig, generate_synthetic, normalize_euclidean
@@ -27,3 +28,12 @@ def gt_reconstruction(raw) -> Reconstruction:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals it finds in local modules under its
+    home directory, `.hypothesis/` by default, while pytest collects the
+    tests; keep that cache inside pytest's own cache directory instead."""
+    cache = getattr(config, "cache", None)
+    if cache is not None:
+        set_hypothesis_home_dir(cache.mkdir("hypothesis"))

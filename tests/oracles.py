@@ -6,6 +6,7 @@ observation at a time, and compared against the production code.
 
 import numpy as np
 
+from tracksfm import autodiff as ad
 from tracksfm.autodiff import scatter_add
 from tracksfm.geometry import _huber_weights, _residuals, camera_matrices
 from tracksfm.rotations import quat_normalize, quat_to_matrix
@@ -42,7 +43,8 @@ def matrix_to_quat_oracle(R: np.ndarray) -> np.ndarray:
 
 
 def triangulate_oracle(scene, recon):
-    """DLT one point at a time, with the degenerate rules of `triangulate`."""
+    """DLT one point at a time, with the degenerate and cheirality rules of
+    `triangulate`."""
     P = camera_matrices(recon)
     n = scene.num_points
     points = recon.points.copy()
@@ -64,7 +66,11 @@ def triangulate_oracle(scene, recon):
         if sv[2] <= 1e-10 * sv[0] or abs(X[3]) < 1e-12:
             degenerate[j] = True
             continue
-        points[j] = X[:3] / X[3]
+        point = X[:3] / X[3]
+        if recon.mode == "euclidean" and np.any(P[views, 2, :3] @ point + P[views, 2, 3] <= 0):
+            degenerate[j] = True     # behind a camera that observes it
+            continue
+        points[j] = point
     return points, degenerate
 
 
@@ -119,3 +125,29 @@ def normal_blocks_oracle(scene, recon, huber_threshold):
     gp = scatter_add(pi_u, np.einsum("kab,ka->kb", Jp, rw), n)
     W = Jc.transpose(0, 2, 1) @ Jp
     return U, V, W, gc, gp, usable
+
+
+def gatv2_oracle(src, tgt, w, a, edge_tgt, n_tgt, heads=4, slope=0.2):
+    """`ad.gatv2` composed from 17 primitives, as the network computed the
+    attention before the fusion. Returns the output and the weights tensor."""
+    d1 = src.shape[1]
+    da = a.shape[0]
+    hd = da // heads
+    w_tgt = ad.narrow(w, 0, 0, d1)
+    w_src = ad.narrow(w, 0, d1, d1)
+    s_proj = ad.matmul(src, w_src)
+    t_proj = ad.matmul(tgt, w_tgt)
+    act = ad.leaky_relu(ad.gather(t_proj, edge_tgt) + s_proj, slope)
+    scores = ad.tsum(ad.reshape(act, (-1, heads, hd)) * ad.reshape(a, (1, heads, hd)), axis=2)
+    alpha = ad.segment_softmax(scores, edge_tgt, n_tgt)
+    weighted = ad.reshape(s_proj, (-1, heads, hd)) * ad.reshape(alpha, (-1, heads, 1))
+    return ad.segment_sum(ad.reshape(weighted, (-1, da)), edge_tgt, n_tgt), alpha
+
+
+def layer_norm_oracle(x, gain, bias, eps=1e-5):
+    """The affine layer norm as three primitives: the normalization (the
+    fused primitive with a unit gain and zero bias, which is exact), a mul
+    and an add."""
+    d = x.shape[-1]
+    plain = ad.layer_norm(x, ad.constant(np.ones(d)), ad.constant(np.zeros(d)), eps)
+    return plain * gain + bias

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracksfm import autodiff as ad
 from tracksfm.autodiff import (
@@ -11,6 +13,8 @@ from tracksfm.autodiff import (
     grad_check,
     zero_grads,
 )
+
+from oracles import gatv2_oracle
 
 
 def fd_check(build, params, tol=1e-6, step=1e-5):
@@ -68,10 +72,21 @@ class TestPrimitiveGradients:
     def test_layer_norm(self, rng):
         x = ad.parameter(rng.normal(size=(6, 8)))
         g = ad.parameter(rng.uniform(0.5, 1.5, size=(8,)))
+        b = ad.parameter(rng.normal(size=(8,)))
         c = ad.constant(rng.normal(size=(6, 8)))
-        report = grad_check(lambda: ad.tsum(ad.layer_norm(x) * g * c),
-                            {"x": x, "g": g}, step=1e-5, tol=1e-5)
+        report = grad_check(lambda: ad.tsum(ad.layer_norm(x, g, b) * c),
+                            {"x": x, "g": g, "b": b}, step=1e-5, tol=1e-5)
         assert report.passed, report.worst()
+
+    def test_gatv2(self, rng):
+        src = ad.parameter(rng.normal(size=(7, 6)))
+        tgt = ad.parameter(rng.normal(size=(3, 6)))
+        w = ad.parameter(rng.normal(size=(12, 8)) / 3.0)
+        a = ad.parameter(rng.normal(size=(8,)))
+        c = ad.constant(rng.normal(size=(3, 8)))
+        edge_tgt = np.array([2, 0, 1, 1, 2, 0, 2])
+        fd_check(lambda: ad.tsum(ad.gatv2(src, tgt, w, a, edge_tgt, 3, 4, 0.2)[0] * c),
+                 {"src": src, "tgt": tgt, "w": w, "a": a})
 
     def test_sqrt_where_reductions(self, rng):
         x = ad.parameter(rng.uniform(0.5, 2.0, size=(5, 3)))
@@ -115,6 +130,47 @@ class TestSegmentSoftmaxValues:
     def test_bad_indices_rejected(self):
         with pytest.raises(SegmentIndexError):
             ad.segment_sum(ad.constant([[1.0]]), np.array([5]), 2)
+
+
+def _gatv2_run(fn, edge_tgt, values, weights):
+    """Forward, weights and the four input gradients of one attention."""
+    src, tgt, w, a = (ad.parameter(v.copy()) for v in values)
+    out, alpha = fn(src, tgt, w, a, edge_tgt, len(weights), 4, 0.2)
+    backward(ad.tsum(out * ad.constant(weights)))
+    alpha = alpha.values if isinstance(alpha, ad.Tensor) else alpha
+    return [out.values, alpha] + [t.grad for t in (src, tgt, w, a)]
+
+
+class TestGatv2:
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(d1=st.sampled_from([2, 3, 4, 8]), n_tgt=st.integers(1, 6),
+           extra=st.lists(st.integers(0, 5), max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_composed_oracle(self, d1, n_tgt, extra, seed):
+        """On random bipartite graphs (every target with an in-edge, edges
+        shuffled) the fused primitive reproduces the composed attention's
+        output, weights and all four input gradients exactly."""
+        rng = np.random.default_rng(seed)
+        edge_tgt = np.concatenate([np.arange(n_tgt), np.asarray(extra, dtype=np.int64) % n_tgt])
+        edge_tgt = edge_tgt[rng.permutation(len(edge_tgt))]
+        da = 4 * ((d1 + 3) // 4)
+        values = [rng.normal(size=(len(edge_tgt), d1)), rng.normal(size=(n_tgt, d1)),
+                  rng.normal(size=(2 * d1, da)) / np.sqrt(d1), rng.normal(size=(da,))]
+        weights = rng.normal(size=(n_tgt, da))
+        fused = _gatv2_run(ad.gatv2, edge_tgt, values, weights)
+        composed = _gatv2_run(gatv2_oracle, edge_tgt, values, weights)
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got, want)
+
+    def test_segment_checks(self):
+        src, tgt = ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 4)))
+        w, a = ad.constant(np.ones((8, 4))), ad.constant(np.ones(4))
+        with pytest.raises(SegmentIndexError):
+            ad.gatv2(src, tgt, w, a, np.array([0, 2]), 2, 4, 0.2)
+        with pytest.raises(SegmentIndexError):
+            ad.gatv2(src, tgt, w, a, np.array([1, 1]), 2, 4, 0.2)
+        with pytest.raises(ShapeError):
+            ad.gatv2(src, tgt, w, a, np.array([0, 0]), 1, 4, 0.2)
 
 
 class TestBackward:
@@ -171,7 +227,9 @@ class TestBackward:
         vals = rng.normal(size=(8, 8))
         def run():
             x = ad.constant(vals)
-            return ad.tsum(ad.layer_norm(ad.matmul(x, x) / 3.0)).values.copy()
+            ln = ad.layer_norm(ad.matmul(x, x) / 3.0, ad.constant(np.ones(8)),
+                               ad.constant(np.zeros(8)))
+            return ad.tsum(ln).values.copy()
         np.testing.assert_array_equal(run(), run())
 
 

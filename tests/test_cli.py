@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,36 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "5 cameras" in result.output and "6 views" in result.output
 
+    @pytest.mark.parametrize("command", ["ba", "eval"])
+    @pytest.mark.parametrize("count", [30, 80])
+    def test_point_count_mismatch_is_2(self, runner, tmp_path, command, count):
+        """A reconstruction with too few or too many points for a 40-point
+        scene."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon = gt_reconstruction(load_scene(scene_path))
+        recon.points = np.resize(recon.points, (count, 3))
+        recon_path = tmp_path / "points.json"
+        save_reconstruction(recon, recon_path)
+        result = runner.invoke(main, [command, "--scene", str(scene_path), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"{count} points" in result.output and "scene has 40" in result.output
+
+    def test_eval_reads_quaternions_at_unit_norm(self, runner, tmp_path):
+        """Doubling every quaternion of the ground truth changes nothing
+        that eval prints or writes."""
+        scene_path = synth_scene(runner, tmp_path)
+        gt = gt_reconstruction(load_scene(scene_path))
+        outputs = []
+        for scale in (1.0, 2.0):
+            recon_path = tmp_path / f"q{scale}.json"
+            save_reconstruction(replace(gt, quats=scale * gt.quats), recon_path)
+            out = tmp_path / f"o{scale}"
+            result = run_ok(runner, ["eval", "--scene", str(scene_path), "--recon",
+                                     str(recon_path), "--out", str(out)])
+            outputs.append((result.output, (out / "metrics.json").read_text()))
+        assert outputs[0] == outputs[1]
+
     def test_eval_nonfinite_ground_truth_is_2(self, runner, tmp_path):
         """A NaN ground-truth center is rejected by name when the scene is read."""
         scene_path = synth_scene(runner, tmp_path)
@@ -267,6 +298,23 @@ class TestExitCodes:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "unknown" in result.output and "'bogus'" in result.output
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("train", {"epochs": "5"}, "train config field 'epochs' must be an integer"),
+        ("train", {"aug": [1, 2]}, "aug must be a JSON object"),
+        ("synth", [1, 2], "scene generator config must be a JSON object"),
+        ("synth", {"num_views": "6"}, "scene generator field 'num_views' must be an integer"),
+    ], ids=["train epochs", "train aug", "synth list", "synth num_views"])
+    def test_config_value_of_wrong_type_is_2(self, runner, tmp_path, command, config,
+                                             message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        args = [command, "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        if command == "train":
+            args += ["--scene", str(synth_scene(runner, tmp_path))]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)

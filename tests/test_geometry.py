@@ -101,6 +101,27 @@ class TestTriangulate:
         assert np.array_equal(degenerate, want_degenerate)
         assert np.array_equal(points, want_points)
 
+    def test_point_behind_a_camera_keeps_input(self):
+        """A point mirrored through camera 0's center projects to the same
+        image point there, so its tracks re-rendered from the mirror image
+        triangulate exactly to a point behind camera 0: it is flagged and
+        keeps its input coordinates, while the others are solved."""
+        scene, raw, _ = make_scene(num_views=4, num_points=12, seed=5)
+        recon = gt_reconstruction(raw)
+        j = scene.point_idx[scene.view_idx == 0][0]
+        mirrored = recon.points.copy()
+        mirrored[j] = 2.0 * recon.centers[0] - recon.points[j]
+        P = camera_matrices(recon)
+        xy, z = project(P, mirrored, scene.view_idx, scene.point_idx)
+        assert (z[(scene.point_idx == j) & (scene.view_idx == 0), 2] < 0).all()
+        start = recon.points + 0.5
+        points, degenerate = triangulate(replace(scene, xy=xy),
+                                         replace(recon, points=start))
+        assert degenerate.tolist() == [k == j for k in range(scene.num_points)]
+        np.testing.assert_array_equal(points[j], start[j])
+        keep = np.arange(scene.num_points) != j
+        np.testing.assert_allclose(points[keep], raw.gt_points[keep], atol=1e-9)
+
     def test_project_triangulate_identity(self, rng):
         """Round trip over 200 random noise-free points seen by 2-5 views."""
         scene, raw, _ = make_scene(num_views=5, num_points=200, visibility=0.6,

@@ -25,6 +25,7 @@ from tracksfm.network import (
 from tracksfm.objective import loss
 
 from conftest import make_scene
+from oracles import gatv2_oracle, layer_norm_oracle
 
 TINY = NetConfig(layers=2, d_p=8, d_v=32, d_s=16, d_g=64)
 
@@ -112,6 +113,83 @@ class TestInitParams:
         params = tiny_params()
         w = params["layer0.view.ffn.w"].values
         assert np.abs(w).max() <= 1.0 / np.sqrt(32)
+
+
+class TestParameterArena:
+    def test_values_are_views_of_one_buffer(self):
+        params = tiny_params()
+        base = params.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, shape in param_shapes(TINY).items():
+            values = params[name].values
+            assert values.shape == shape and values.flags.c_contiguous
+            assert values.__array_interface__["data"][0] == base + 8 * offset, name
+            assert np.shares_memory(values, params.flat)
+            offset += values.size
+        assert offset == params.flat.size == parameter_count(TINY)
+
+    def test_init_equals_per_tensor_uniform_draws(self):
+        """Drawing into the buffer gives the values of one rng.uniform
+        call per tensor in canonical order, bit for bit."""
+        cfg = NetConfig(layers=1, d_p=4, d_v=8, d_s=4, d_g=8)
+        params = init_params(cfg, 7)
+        rng = np.random.default_rng(7)
+        for name, shape in param_shapes(cfg).items():
+            leaf = name.rsplit(".", 1)[-1]
+            if leaf == "b":
+                expected = np.zeros(shape)
+            elif leaf == "g":
+                expected = np.ones(shape)
+            else:
+                fan_in = shape[0] // 4 if leaf == "a" else shape[0]
+                expected = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in),
+                                       size=shape)
+            np.testing.assert_array_equal(params[name].values, expected)
+
+    def test_given_tensors_are_copied_and_rebound(self, rng):
+        values = {"x": rng.normal(size=(2, 3)), "y": rng.normal(size=(4,))}
+        tensors = {k: ad.parameter(v.copy()) for k, v in values.items()}
+        params = ModelParams(TINY, tensors)
+        np.testing.assert_array_equal(params.flat, np.concatenate(
+            [values["x"].ravel(), values["y"]]))
+        assert params["x"] is tensors["x"]
+        assert np.shares_memory(params["y"].values, params.flat)
+
+
+def composed_attention(src, tgt, edge_tgt, n_tgt, pv, return_weights=False):
+    out, alpha = gatv2_oracle(src, tgt, pv["att.w"], pv["att.a"], edge_tgt, n_tgt)
+    return (out, alpha) if return_weights else out
+
+
+def composed_ln_affine(x, pv, name):
+    sub = pv.sub(name)
+    return layer_norm_oracle(x, sub["g"], sub["b"], network.LN_EPS)
+
+
+class TestFusedPrimitivesInNetwork:
+    @pytest.mark.parametrize("mode", ["euclidean", "projective"])
+    def test_gradients_bit_identical_to_composed(self, monkeypatch, mode):
+        """Forward, loss and every parameter gradient with the fused
+        attention and layer norm equal the composed forms exactly: the
+        fused nodes keep the composition's tape order, so adjoints reach
+        features with several consumers in the same order."""
+        scene, _, _ = make_scene(num_views=4, num_points=14, visibility=0.8, seed=3,
+                                 mode=mode)
+        cfg = replace(TINY, mode=mode)
+
+        def run():
+            params = init_params(cfg, seed=1)
+            total, _ = loss(scene, forward(scene, params))
+            ad.backward(total, params=params.tensors.values())
+            return total.values, {name: p.grad for name, p in params.tensors.items()}
+
+        fused_loss, fused = run()
+        monkeypatch.setattr(network, "gatv2_attention", composed_attention)
+        monkeypatch.setattr(network, "_ln_affine", composed_ln_affine)
+        composed_loss, composed = run()
+        np.testing.assert_array_equal(fused_loss, composed_loss)
+        for name, grad in composed.items():
+            np.testing.assert_array_equal(fused[name], grad, err_msg=name)
 
 
 class TestGatv2Attention:
@@ -223,7 +301,7 @@ class TestGraphCrossAttention:
         h1 = ad.constant(rng.normal(size=(4, d)))
         edge_tgt = np.zeros(4, dtype=np.int64)
         out = graph_cross_attention(h1, None, edge_tgt, 1, pv)
-        h1n = ad.relu(ad.layer_norm(h1))
+        h1n = ad.relu(ad.layer_norm(h1, ad.constant(np.ones(d)), ad.constant(np.zeros(d))))
         direct = gatv2_attention(h1n, ad.constant(np.zeros((1, d))), edge_tgt, 1, pv)
         np.testing.assert_array_equal(out.values, direct.values)
 
@@ -365,7 +443,7 @@ def proj_update_concat_oracle(p_prev, p_in, v, s, g, view_idx, point_idx, pv):
     every feature onto the observations, concatenate, then one linear map."""
     def norm(x, name):
         sub = pv.sub(name)
-        return ad.relu(ad.layer_norm(x, 1e-5) * sub["g"] + sub["b"])
+        return ad.relu(ad.layer_norm(x, sub["g"], sub["b"], 1e-5))
     z = ad.concat([
         ad.gather(norm(v, "ln_v"), view_idx),
         ad.gather(norm(s, "ln_s"), point_idx),

@@ -7,7 +7,7 @@ import pytest
 from tracksfm import autodiff as ad
 from tracksfm import train as train_mod
 from tracksfm.autodiff import NumericError
-from tracksfm.network import ModelParams, NetConfig, param_shapes
+from tracksfm.network import ModelParams, NetConfig, init_params, param_shapes
 from tracksfm.objective import loss
 from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
 from tracksfm.train import (
@@ -76,6 +76,49 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(params, {"theta": np.array([np.nan])},
                       AdamState.zeros(params), lr=1e-3)
+
+    def test_nonfinite_grad_changes_nothing(self, rng):
+        """A NaN in a late tensor is found before any parameter, moment or
+        the step count moves."""
+        params = init_params(TINY_NET, 0)
+        state = AdamState.zeros(params)
+        grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
+        adam_step(params, grads, state, lr=1e-2)
+        before = (params.flat.copy(), state.m_flat.copy(), state.v_flat.copy(), state.t)
+        grads["point_head.l2.w"][1, 2] = np.nan
+        with pytest.raises(NumericError):
+            adam_step(params, grads, state, lr=1e-2)
+        np.testing.assert_array_equal(params.flat, before[0])
+        np.testing.assert_array_equal(state.m_flat, before[1])
+        np.testing.assert_array_equal(state.v_flat, before[2])
+        assert state.t == before[3]
+
+    @pytest.mark.parametrize("bucket", [train_mod.ADAM_BUCKET, 100])
+    def test_bit_identical_to_per_tensor_update(self, rng, monkeypatch, bucket):
+        """The bucketed update over the flat buffers equals the textbook
+        per-tensor update exactly, also where a bucket size splits the
+        model into many buckets and leaves tensors on their own."""
+        monkeypatch.setattr(train_mod, "ADAM_BUCKET", bucket)
+        params = init_params(TINY_NET, 0)
+        state = AdamState.zeros(params)
+        ref = {k: [p.values.copy(), np.zeros(p.shape), np.zeros(p.shape)]
+               for k, p in params.tensors.items()}
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
+            adam_step(params, grads, state, lr=1e-2)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for k, (p, m, v) in ref.items():
+                g = grads[k]
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= 1e-2 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        assert any(len(names) > 1 for _, _, names in state.buckets)
+        for k, (p, m, v) in ref.items():
+            np.testing.assert_array_equal(params[k].values, p)
+            np.testing.assert_array_equal(state.m[k], m)
+            np.testing.assert_array_equal(state.v[k], v)
 
 
 class TestSchedule:
