@@ -1,10 +1,10 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor wraps an ndarray and remembers the parents and local adjoint rule
-of the operation that produced it. backward() traces the graph below a
-scalar root into a Tape (a topological record where every operation's
-inputs precede it), then sweeps it once in reverse, accumulating adjoints
-into every requires_grad leaf.
+of the operation that produced it. backward() lists the graph below a
+scalar root in topological order (every operation's inputs precede it),
+then sweeps that list once in reverse, accumulating adjoints into every
+requires_grad leaf.
 
 The primitive set is what the attention network, loss, and optimizer
 compose: matmul, elementwise arithmetic, concat/narrow/gather/reshape,
@@ -120,66 +120,53 @@ class Tensor:
         return matmul(self, other)
 
 
-class Tape:
-    """Topologically ordered record of the subgraph reaching a root."""
-
-    def __init__(self, nodes: list[Tensor]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        """Iterative postorder DFS; parents land before their consumers."""
-        nodes: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                nodes.append(node)
-                continue
-            if id(node) in visited or not node._needs:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        return cls(nodes)
+def _trace(root: Tensor) -> list[Tensor]:
+    """The subgraph reaching `root` in topological order, by iterative
+    postorder DFS: parents land before their consumers."""
+    nodes: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            nodes.append(node)
+            continue
+        if id(node) in visited or not node._needs:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            stack.append((p, False))
+    return nodes
 
 
-def backward(root: Tensor, params=None, accumulate: bool = False) -> None:
+def backward(root: Tensor, params=None) -> None:
     """Populate .grad = d(root)/d(leaf) for every requires_grad leaf.
 
     `root` must be scalar. Adjoints add into any existing .grad buffers;
-    re-running backward through the same root is rejected unless
-    `accumulate=True` (documented double-counting). Leaves listed in
-    `params` that the graph never reaches get zero grad buffers.
+    re-running backward through the same root is rejected. Leaves listed
+    in `params` that the graph never reaches get zero grad buffers.
     """
     if root.values.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-    if root._done and not accumulate:
-        raise RuntimeError("backward already ran through this root; pass accumulate=True to add")
+    if root._done:
+        raise RuntimeError("backward already ran through this root")
     root._done = True
-    tape = Tape.trace(root)
+    nodes = _trace(root)
     root._add_grad(np.ones_like(root.values), owned=True)
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         if node._vjp is not None and node.grad is not None:
             node._vjp(node.grad)
         if not node.requires_grad:
             node.grad = None   # interior adjoints are per-pass scratch
     if params is not None:
-        for p in _iter_params(params):
+        for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.values)
 
 
-def _iter_params(params):
-    if isinstance(params, dict):
-        return params.values()
-    return params
-
-
 def zero_grads(params) -> None:
-    for p in _iter_params(params):
+    for p in params:
         p.grad = None
 
 

@@ -192,8 +192,8 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
         click.echo(f"numeric failure at iteration {result.checkpoint.iteration}: "
                    f"{result.abort_reason}; last good state saved", err=True)
         sys.exit(EXIT_NUMERIC)
-    click.echo(f"trained {result.checkpoint.iteration} iterations; "
-               f"final loss {result.loss_history[-1]:.6g}")
+    final = f"; final loss {result.loss_history[-1]:.6g}" if len(result.loss_history) else ""
+    click.echo(f"trained {result.checkpoint.iteration} iterations{final}")
 
 
 @main.command()

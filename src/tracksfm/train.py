@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError
-from .network import ModelParams, NetConfig, flat_views, forward, init_params, param_shapes
+from .network import ModelParams, NetConfig, forward, init_params, param_shapes
 from .objective import loss, normalize_param_grads
 from .rotations import axis_angle_to_matrix, matrix_to_quat, quat_to_matrix
 from .scene import EUCLIDEAN, Scene, SceneError, pose_matrices, project, subsample_views
@@ -68,8 +68,12 @@ class TrainConfig:
     constant_lr: bool = False
 
     def __post_init__(self):
-        if self.warmup_iters < 0 or self.base_lr < 0:
-            raise ValueError("warmup_iters and base_lr must be non-negative")
+        for name in ("base_lr", "warmup_iters", "epochs"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"train config field {name!r} must be non-negative")
+        for name in ("decay_factor", "decay_every", "validate_every"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"train config field {name!r} must be positive")
         if not 0 <= self.outliers.rate < 1:
             raise ValueError("outlier rate must lie in [0, 1)")
         if self.subseq_min > self.subseq_max or self.subseq_min < 2:
@@ -161,17 +165,14 @@ ADAM_BUCKET = 2**13
 
 
 class AdamState:
-    """Adam moments in two flat buffers, `m_flat` and `v_flat`, laid out
-    like the ModelParams buffer they serve; `m` and `v` map each parameter
-    name to its view. `buckets` lists the (start, stop, names) runs that
-    adam_step updates together."""
+    """Adam moments `m` and `v`, two flat buffers laid out like the
+    ModelParams buffer they serve, the step count `t`, and `buckets`, the
+    (start, stop, names) runs that adam_step updates together."""
 
     def __init__(self, shapes, t: int = 0):
         size = sum(math.prod(shape) for shape in shapes.values())
-        self.m_flat = np.zeros(size)
-        self.v_flat = np.zeros(size)
-        self.m = flat_views(self.m_flat, shapes)
-        self.v = flat_views(self.v_flat, shapes)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = t
         self.buckets = []
         start = 0
@@ -189,35 +190,33 @@ class AdamState:
         return cls(OrderedDict((k, p.values.shape) for k, p in params.tensors.items()))
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
+def adam_step(params: ModelParams, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Standard Adam update with bias correction, in place on the params.
-
-    `grads` maps every parameter name to its gradient. All of them are
-    checked before anything changes, so a bad gradient leaves the
-    parameters, the moments and the step count as they were. The update
+    """Standard Adam update with bias correction, in place on the params,
+    from each parameter's `.grad`. A missing or non-finite gradient, or a
+    state of another size, is rejected before anything changes. The update
     runs over the flat buffers bucket by bucket, with the per-element
     expression order of the per-tensor update, so its result is
     bit-identical to that.
     """
-    if grads.keys() != state.m.keys():
-        raise KeyError("gradients must be given for exactly the optimized parameters")
-    for name, g in grads.items():
-        if g.shape != state.m[name].shape:
-            raise ad.ShapeError(f"gradient shape {g.shape} != param shape "
-                                f"{state.m[name].shape} for {name}")
-        if not np.isfinite(g).all():
+    if state.m.size != params.flat.size:
+        raise ad.ShapeError(f"Adam state holds {state.m.size} values for "
+                            f"{params.flat.size} parameters")
+    for name, p in params.tensors.items():
+        if p.grad is None or p.grad.shape != p.shape:
+            raise ad.ShapeError(f"{name} has no gradient of its shape {p.shape}")
+        if not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for start, stop, names in state.buckets:
         if len(names) == 1:
-            g = grads[names[0]].reshape(-1)
+            g = params[names[0]].grad.reshape(-1)
         else:
-            g = np.concatenate([grads[name].reshape(-1) for name in names])
-        m = state.m_flat[start:stop]
-        v = state.v_flat[start:stop]
+            g = np.concatenate([params[name].grad.reshape(-1) for name in names])
+        m = state.m[start:stop]
+        v = state.v[start:stop]
         tmp = np.empty_like(g)
         m *= beta1
         m += np.multiply(1.0 - beta1, g, out=tmp)
@@ -370,12 +369,14 @@ _MAGIC = b"TSFMCKP1"
 
 @dataclass
 class Checkpoint:
-    """Everything needed to continue training bit-exactly."""
+    """Everything needed to continue training bit-exactly. `params`,
+    `adam_m` and `adam_v` are flat buffers in the ModelParams layout of
+    the config's network."""
 
     train_config: TrainConfig
-    param_values: dict
-    adam_m: dict
-    adam_v: dict
+    params: np.ndarray
+    adam_m: np.ndarray
+    adam_v: np.ndarray
     adam_t: int
     iteration: int
     epoch: int
@@ -385,37 +386,43 @@ class Checkpoint:
     @classmethod
     def snapshot(cls, cfg: TrainConfig, params: ModelParams, state: AdamState,
                  iteration: int, epoch: int, val_history, best_val) -> "Checkpoint":
-        return cls(
-            train_config=cfg,
-            param_values={k: p.values.copy() for k, p in params.tensors.items()},
-            adam_m={k: v.copy() for k, v in state.m.items()},
-            adam_v={k: v.copy() for k, v in state.v.items()},
-            adam_t=state.t,
-            iteration=iteration,
-            epoch=epoch,
-            val_history=list(val_history),
-            best_val=best_val,
-        )
+        return cls(cfg, params.flat.copy(), state.m.copy(), state.v.copy(), state.t,
+                   iteration, epoch, list(val_history), best_val)
 
     def restore_params(self) -> ModelParams:
         params = ModelParams(self.train_config.net)
-        for name, p in params.tensors.items():
-            p.values[...] = self.param_values[name]
+        params.flat[...] = self.params
         return params
 
     def restore_adam(self) -> AdamState:
         state = AdamState(param_shapes(self.train_config.net), t=self.adam_t)
-        for name in state.m:
-            state.m[name][...] = self.adam_m[name]
-            state.v[name][...] = self.adam_v[name]
+        state.m[...] = self.adam_m
+        state.v[...] = self.adam_v
         return state
 
 
+def _is_count(v) -> bool:
+    return _FIELD_TYPES[int][1](v) and v >= 0
+
+
+# What each checkpoint header field beside the configs must be.
+_HEADER_FIELDS = {
+    "format_version": ("1", lambda v: _is_count(v) and v == 1),
+    "adam_t": ("a non-negative integer", _is_count),
+    "iteration": ("a non-negative integer", _is_count),
+    "epoch": ("a non-negative integer", _is_count),
+    "val_history": ("a list of [integer, number] pairs", lambda v: isinstance(v, list) and all(
+        isinstance(x, list) and len(x) == 2 and _is_count(x[0]) and _is_number(x[1])
+        for x in v)),
+    "best_val": ("null or a number", lambda v: v is None or _is_number(v)),
+}
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Binary container: magic, u64 header length, JSON header, then raw
-    little-endian float64 buffers (params, Adam m, Adam v) in canonical
-    parameter order."""
-    names = list(param_shapes(ckpt.train_config.net).keys())
+    """Binary container: magic, u64 header length, JSON header, then the
+    params, Adam m and Adam v buffers, each written whole as raw
+    little-endian float64."""
+    shapes = param_shapes(ckpt.train_config.net)
     header = {
         "format_version": 1,
         "train_config": ckpt.train_config.to_dict(),
@@ -424,23 +431,22 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "epoch": ckpt.epoch,
         "val_history": ckpt.val_history,
         "best_val": ckpt.best_val,
-        "params": [[name, list(ckpt.param_values[name].shape)] for name in names],
+        "params": [[name, list(shape)] for name, shape in shapes.items()],
     }
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<Q", len(blob)))
         f.write(blob)
-        for group in (ckpt.param_values, ckpt.adam_m, ckpt.adam_v):
-            for name in names:
-                f.write(np.ascontiguousarray(group[name], dtype="<f8").tobytes())
+        for buffer in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+            f.write(memoryview(np.ascontiguousarray(buffer, dtype="<f8")))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Raises ValueError when
     the header's parameter names or shapes differ from param_shapes of its
-    network config, when the file is cut short, or when bytes trail the
-    last buffer."""
+    network config, when a field of _HEADER_FIELDS does not hold, when the
+    file is cut short, or when bytes trail the last buffer."""
     with open(path, "rb") as f:
         if f.read(8) != _MAGIC:
             raise ValueError("not a checkpoint file")
@@ -448,31 +454,30 @@ def load_checkpoint(path) -> Checkpoint:
         if len(size) != 8:
             raise ValueError("checkpoint is truncated in its header")
         (hlen,) = struct.unpack("<Q", size)
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        blob = f.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError("checkpoint is truncated in its header")
+        header = json.loads(blob.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("checkpoint header must be a JSON object")
         cfg = TrainConfig.from_dict(header["train_config"])
         shapes = param_shapes(cfg.net)
         if [(name, tuple(shape)) for name, shape in header["params"]] != list(shapes.items()):
             raise ValueError("checkpoint parameters do not match its network config")
-        groups = []
-        for _ in range(3):
-            buffers = {}
-            for name, shape in shapes.items():
-                count = int(np.prod(shape))
-                raw = f.read(8 * count)
-                if len(raw) != 8 * count:
-                    raise ValueError(f"checkpoint is truncated in buffer {name!r}")
-                buffers[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            groups.append(buffers)
+        for key, (kind, valid) in _HEADER_FIELDS.items():
+            if not valid(header[key]):
+                raise ValueError(f"checkpoint header field {key!r} must be {kind}")
+        size = sum(map(math.prod, shapes.values()))
+        buffers = []
+        for name in ("params", "adam_m", "adam_v"):
+            buffer = np.empty(size, dtype="<f8")
+            if f.readinto(memoryview(buffer).cast("B")) != buffer.nbytes:
+                raise ValueError(f"checkpoint is truncated in buffer {name!r}")
+            buffers.append(buffer)
         if f.read(1):
             raise ValueError("checkpoint has trailing bytes")
-    return Checkpoint(
-        train_config=cfg,
-        param_values=groups[0], adam_m=groups[1], adam_v=groups[2],
-        adam_t=header["adam_t"], iteration=header["iteration"],
-        epoch=header["epoch"],
-        val_history=[tuple(x) for x in header["val_history"]],
-        best_val=header["best_val"],
-    )
+    return Checkpoint(cfg, *buffers, header["adam_t"], header["iteration"], header["epoch"],
+                      [tuple(x) for x in header["val_history"]], header["best_val"])
 
 
 # -- the loop ----------------------------------------------------------------
@@ -535,6 +540,8 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     if not scenes:
         raise ValueError("no training scenes")
     if resume_from is not None:
+        if resume_from.train_config.net != cfg.net:
+            raise ValueError("the checkpoint's network config differs from the train config's")
         params = resume_from.restore_params()
         state = resume_from.restore_adam()
         iteration = resume_from.iteration
@@ -569,8 +576,7 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
                 total, report = loss(target, out)
                 ad.backward(total, params=params.tensors.values())
                 normalize_param_grads(params)
-                grads = {k: p.grad for k, p in params.tensors.items()}
-                adam_step(params, grads, state, lr_at(iteration, cfg))
+                adam_step(params, state, lr_at(iteration, cfg))
             except NumericError as e:
                 ckpt = Checkpoint.snapshot(cfg, params, state, iteration, epoch,
                                            val_history, best_val)
@@ -591,7 +597,7 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
                 best = Checkpoint.snapshot(cfg, params, state, iteration,
                                            epoch + 1, val_history, best_val)
 
-    final = Checkpoint.snapshot(cfg, params, state, iteration, cfg.epochs,
+    final = Checkpoint.snapshot(cfg, params, state, iteration, max(start_epoch, cfg.epochs),
                                 val_history, best_val)
     return TrainResult(checkpoint=final, best=best,
                        loss_history=np.asarray(losses), val_history=val_history)

@@ -95,8 +95,41 @@ class TestTrainCommand:
                         "--out", str(out_c)])
         a = load_checkpoint(out_a / "checkpoint.bin")
         c = load_checkpoint(out_c / "checkpoint.bin")
-        for name in a.param_values:
-            np.testing.assert_array_equal(a.param_values[name], c.param_values[name])
+        np.testing.assert_array_equal(a.params, c.params)
+
+    def test_resume_with_other_network_is_2(self, runner, tmp_path):
+        """A resume whose config names another network than the checkpoint
+        is rejected before training, not when the checkpoint is saved."""
+        scene_path = synth_scene(runner, tmp_path)
+        run_ok(runner, ["train", "--config", str(tiny_train_config(tmp_path, 2)),
+                        "--scene", str(scene_path), "--out", str(tmp_path / "a")])
+        cfg_path = tmp_path / "wider.json"
+        cfg_path.write_text(json.dumps({"net": {"layers": 1, "d_p": 8, "d_v": 32, "d_s": 8,
+                                                "d_g": 16}, "epochs": 4}))
+        result = runner.invoke(main, ["train", "--config", str(cfg_path),
+                                      "--scene", str(scene_path),
+                                      "--resume", str(tmp_path / "a" / "checkpoint.bin"),
+                                      "--out", str(tmp_path / "b")])
+        assert result.exit_code == 2, result.output
+        assert "network config differs" in result.output
+
+    @pytest.mark.parametrize("done, epochs", [(2, 2), (4, 2), (0, 0)],
+                             ids=["resume finished run", "resume past its epochs", "no epochs"])
+    def test_zero_iterations_exit_0(self, runner, tmp_path, done, epochs):
+        """A run with nothing left to train writes its checkpoint, keeping
+        the epoch and iteration it had reached, and reports no final loss.
+        With one scene, an epoch is one iteration."""
+        scene_path = synth_scene(runner, tmp_path)
+        args = ["train", "--scene", str(scene_path), "--out", str(tmp_path / "run")]
+        if done:
+            run_ok(runner, ["train", "--config", str(tiny_train_config(tmp_path, done)),
+                            "--scene", str(scene_path), "--out", str(tmp_path / "done")])
+            args += ["--resume", str(tmp_path / "done" / "checkpoint.bin")]
+        result = run_ok(runner, args + ["--config", str(tiny_train_config(tmp_path, epochs))])
+        assert f"trained {done} iterations" in result.output
+        assert "final loss" not in result.output
+        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert (ckpt.iteration, ckpt.epoch) == (done, done)
 
 
 class TestInferBaEval:
@@ -316,6 +349,24 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert message in result.output
 
+    @pytest.mark.parametrize("config, field", [
+        ({"validate_every": 0}, "validate_every"),
+        ({"decay_every": 0, "warmup_iters": 0}, "decay_every"),
+        ({"decay_factor": 0, "warmup_iters": 0}, "decay_factor"),
+        ({"epochs": -1}, "epochs"),
+    ], ids=["validate_every", "decay_every", "decay_factor", "epochs"])
+    def test_schedule_value_out_of_range_is_2(self, runner, tmp_path, config, field):
+        """Each value would end the run in a division by zero or an empty
+        loss history; the config is rejected before training instead."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"net": {"layers": 1, "d_p": 8, "d_v": 16, "d_s": 8,
+                                                "d_g": 16}, "epochs": 2, **config}))
+        scene_path = str(synth_scene(runner, tmp_path))
+        result = runner.invoke(main, ["train", "--config", str(cfg_path), "--scene", scene_path,
+                                      "--val", scene_path, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"train config field {field!r}" in result.output
+
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)
         scene = load_scene(scene_path)
@@ -323,7 +374,7 @@ class TestExitCodes:
                           epochs=1, seed=0)
         res = train_loop([prepare_scene(scene)[0]], [], cfg)
         ckpt = res.checkpoint
-        ckpt.param_values["embed.w"][0, 0] = np.nan
+        ckpt.params[0] = np.nan                          # embed.w[0, 0]
         path = tmp_path / "bad.bin"
         save_checkpoint(ckpt, path)
         result = runner.invoke(main, ["infer", "--checkpoint", str(path),

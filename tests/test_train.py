@@ -1,17 +1,23 @@
 import json
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracksfm import autodiff as ad
 from tracksfm import train as train_mod
 from tracksfm.autodiff import NumericError
-from tracksfm.network import ModelParams, NetConfig, init_params, param_shapes
+from tracksfm.network import ModelParams, NetConfig, init_params, param_shapes, parameter_count
 from tracksfm.objective import loss
 from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
 from tracksfm.train import (
     AdamState,
+    Checkpoint,
     InfeasibleOutlierRateError,
     OutlierConfig,
     TrainConfig,
@@ -35,16 +41,25 @@ def scalar_params(value):
     return params
 
 
+def step_theta(params, state, grad, lr):
+    params["theta"].grad = np.array([grad])
+    adam_step(params, state, lr=lr)
+
+
+def set_random_grads(params, rng):
+    for p in params.tensors.values():
+        p.grad = rng.normal(size=p.shape)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         """From zero moments, the bias-corrected first update is
         -lr * g / (|g| + eps'), i.e. -lr * sign(g) up to epsilon."""
         params = scalar_params(1.0)
-        state = AdamState.zeros(params)
-        adam_step(params, {"theta": np.array([0.3])}, state, lr=0.01)
+        step_theta(params, AdamState.zeros(params), 0.3, lr=0.01)
         np.testing.assert_allclose(params["theta"].values, 1.0 - 0.01, atol=1e-8)
         params2 = scalar_params(1.0)
-        adam_step(params2, {"theta": np.array([-7.0])}, AdamState.zeros(params2), lr=0.01)
+        step_theta(params2, AdamState.zeros(params2), -7.0, lr=0.01)
         np.testing.assert_allclose(params2["theta"].values, 1.0 + 0.01, atol=1e-8)
 
     def test_quadratic_convergence(self):
@@ -53,8 +68,7 @@ class TestAdam:
         params = scalar_params(1.0)
         state = AdamState.zeros(params)
         for _ in range(2000):
-            g = 2.0 * params["theta"].values
-            adam_step(params, {"theta": g}, state, lr=1e-2)
+            step_theta(params, state, 2.0 * params["theta"].values.item(), lr=1e-2)
         assert abs(params["theta"].values.item()) ** 2 < 1e-6
 
     def test_zero_grad_keeps_params_decays_moments(self):
@@ -62,35 +76,54 @@ class TestAdam:
         moments it decays them by the beta factors."""
         params = scalar_params(2.0)
         state = AdamState.zeros(params)
-        adam_step(params, {"theta": np.array([0.0])}, state, lr=1e-3)
+        step_theta(params, state, 0.0, lr=1e-3)
         np.testing.assert_allclose(params["theta"].values, 2.0, atol=1e-15)
-        adam_step(params, {"theta": np.array([4.0])}, state, lr=0.0)
-        m_before = state.m["theta"].copy()
-        v_before = state.v["theta"].copy()
-        adam_step(params, {"theta": np.array([0.0])}, state, lr=0.0)
-        np.testing.assert_allclose(state.m["theta"], 0.9 * m_before)
-        np.testing.assert_allclose(state.v["theta"], 0.999 * v_before)
+        step_theta(params, state, 4.0, lr=0.0)
+        m_before = state.m.copy()
+        v_before = state.v.copy()
+        step_theta(params, state, 0.0, lr=0.0)
+        np.testing.assert_allclose(state.m, 0.9 * m_before)
+        np.testing.assert_allclose(state.v, 0.999 * v_before)
 
     def test_nonfinite_grad_rejected(self):
         params = scalar_params(1.0)
         with pytest.raises(NumericError):
-            adam_step(params, {"theta": np.array([np.nan])},
-                      AdamState.zeros(params), lr=1e-3)
+            step_theta(params, AdamState.zeros(params), np.nan, lr=1e-3)
 
     def test_nonfinite_grad_changes_nothing(self, rng):
         """A NaN in a late tensor is found before any parameter, moment or
         the step count moves."""
         params = init_params(TINY_NET, 0)
         state = AdamState.zeros(params)
-        grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
-        adam_step(params, grads, state, lr=1e-2)
-        before = (params.flat.copy(), state.m_flat.copy(), state.v_flat.copy(), state.t)
-        grads["point_head.l2.w"][1, 2] = np.nan
+        set_random_grads(params, rng)
+        adam_step(params, state, lr=1e-2)
+        before = (params.flat.copy(), state.m.copy(), state.v.copy(), state.t)
+        params["point_head.l2.w"].grad[1, 2] = np.nan
         with pytest.raises(NumericError):
-            adam_step(params, grads, state, lr=1e-2)
+            adam_step(params, state, lr=1e-2)
         np.testing.assert_array_equal(params.flat, before[0])
-        np.testing.assert_array_equal(state.m_flat, before[1])
-        np.testing.assert_array_equal(state.v_flat, before[2])
+        np.testing.assert_array_equal(state.m, before[1])
+        np.testing.assert_array_equal(state.v, before[2])
+        assert state.t == before[3]
+
+    @pytest.mark.parametrize("case", ["missing gradient", "state size"])
+    def test_bad_input_changes_nothing(self, rng, case):
+        """A parameter without a gradient, or a state laid out for another
+        model, is rejected before any parameter, moment or the step count
+        moves."""
+        params = init_params(TINY_NET, 0)
+        state = AdamState.zeros(params)
+        set_random_grads(params, rng)
+        if case == "missing gradient":
+            params["point_head.l2.b"].grad = None
+        else:
+            state = AdamState.zeros(scalar_params(1.0))
+        before = (params.flat.copy(), state.m.copy(), state.v.copy(), state.t)
+        with pytest.raises(ad.ShapeError):
+            adam_step(params, state, lr=1e-2)
+        np.testing.assert_array_equal(params.flat, before[0])
+        np.testing.assert_array_equal(state.m, before[1])
+        np.testing.assert_array_equal(state.v, before[2])
         assert state.t == before[3]
 
     @pytest.mark.parametrize("bucket", [train_mod.ADAM_BUCKET, 100])
@@ -104,21 +137,20 @@ class TestAdam:
         ref = {k: [p.values.copy(), np.zeros(p.shape), np.zeros(p.shape)]
                for k, p in params.tensors.items()}
         for t in range(1, 4):
-            grads = {k: rng.normal(size=p.shape) for k, p in params.tensors.items()}
-            adam_step(params, grads, state, lr=1e-2)
+            set_random_grads(params, rng)
+            adam_step(params, state, lr=1e-2)
             bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
             for k, (p, m, v) in ref.items():
-                g = grads[k]
+                g = params[k].grad
                 m *= 0.9
                 m += (1.0 - 0.9) * g
                 v *= 0.999
                 v += (1.0 - 0.999) * g * g
                 p -= 1e-2 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
         assert any(len(names) > 1 for _, _, names in state.buckets)
-        for k, (p, m, v) in ref.items():
-            np.testing.assert_array_equal(params[k].values, p)
-            np.testing.assert_array_equal(state.m[k], m)
-            np.testing.assert_array_equal(state.v[k], v)
+        for i, buffer in enumerate((params.flat, state.m, state.v)):
+            np.testing.assert_array_equal(
+                buffer, np.concatenate([r[i].reshape(-1) for r in ref.values()]))
 
 
 class TestSchedule:
@@ -235,9 +267,7 @@ class TestTrainLoop:
             res = train_loop([scene], [scene], tiny_train_cfg(epochs=4))
             runs.append(res)
         np.testing.assert_array_equal(runs[0].loss_history, runs[1].loss_history)
-        for name in runs[0].checkpoint.param_values:
-            np.testing.assert_array_equal(runs[0].checkpoint.param_values[name],
-                                          runs[1].checkpoint.param_values[name])
+        np.testing.assert_array_equal(runs[0].checkpoint.params, runs[1].checkpoint.params)
 
     def test_resume_is_bit_exact(self, tmp_path):
         """Stopping at epoch 3, checkpointing to disk, reloading, and
@@ -253,9 +283,7 @@ class TestTrainLoop:
         restored = load_checkpoint(path)
         resumed = train_loop([scene], [scene], cfg6, resume_from=restored)
 
-        for name in full.checkpoint.param_values:
-            np.testing.assert_array_equal(full.checkpoint.param_values[name],
-                                          resumed.checkpoint.param_values[name])
+        np.testing.assert_array_equal(full.checkpoint.params, resumed.checkpoint.params)
         assert full.checkpoint.iteration == resumed.checkpoint.iteration
 
     def test_checkpoint_roundtrip(self, tmp_path):
@@ -266,11 +294,8 @@ class TestTrainLoop:
         back = load_checkpoint(path)
         assert back.iteration == res.checkpoint.iteration
         assert back.train_config == res.checkpoint.train_config
-        for name in res.checkpoint.param_values:
-            np.testing.assert_array_equal(back.param_values[name],
-                                          res.checkpoint.param_values[name])
-            np.testing.assert_array_equal(back.adam_m[name],
-                                          res.checkpoint.adam_m[name])
+        for buffer in ("params", "adam_m", "adam_v"):
+            np.testing.assert_array_equal(getattr(back, buffer), getattr(res.checkpoint, buffer))
 
     def test_restore_draws_no_init(self, monkeypatch):
         """Restoring builds the parameters from the stored buffers alone."""
@@ -282,9 +307,8 @@ class TestTrainLoop:
         monkeypatch.setattr(train_mod, "init_params", no_init)
         params = ckpt.restore_params()
         assert list(params.tensors) == list(param_shapes(TINY_NET))
-        for name, values in ckpt.param_values.items():
-            np.testing.assert_array_equal(params[name].values, values)
-            assert params[name].values is not values
+        np.testing.assert_array_equal(params.flat, ckpt.params)
+        assert not np.shares_memory(params.flat, ckpt.params)
 
     def test_validation_tracks_best(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=10)
@@ -298,7 +322,7 @@ class TestTrainLoop:
         cfg = tiny_train_cfg(epochs=2)
         good = train_loop([scene], [], tiny_train_cfg(epochs=1))
         poisoned = good.checkpoint
-        poisoned.param_values["embed.w"][0, 0] = np.nan
+        poisoned.params[0] = np.nan                      # embed.w[0, 0]
         res = train_loop([scene], [], cfg, resume_from=poisoned)
         assert res.aborted
         assert res.abort_reason
@@ -394,3 +418,74 @@ class TestCheckpointFile:
     def test_trailing_bytes(self, tmp_path, ckpt_bytes):
         with pytest.raises(ValueError, match="trailing"):
             self.load_bytes(tmp_path, ckpt_bytes + b"\0")
+
+    @pytest.mark.parametrize("key, value", [
+        ("adam_t", "x"), ("iteration", 1.5), ("epoch", "a"), ("val_history", [5]),
+        ("iteration", -1), ("epoch", True), ("val_history", [[1, "a"]]),
+        ("val_history", {"1": 0.5}), ("best_val", "x"), ("format_version", 2),
+    ], ids=["adam_t string", "iteration float", "epoch string", "val_history entry number",
+            "iteration negative", "epoch bool", "val_history value string",
+            "val_history object", "best_val string", "format_version 2"])
+    def test_bad_header_field(self, tmp_path, ckpt_bytes, key, value):
+        def edit(header):
+            header[key] = value
+        with pytest.raises(ValueError, match=f"checkpoint header field '{key}'"):
+            self.load_bytes(tmp_path, self.with_header(ckpt_bytes, edit))
+
+    def test_header_not_an_object(self, tmp_path, ckpt_bytes):
+        blob = b"[1]"
+        data = ckpt_bytes[:8] + struct.pack("<Q", len(blob)) + blob
+        with pytest.raises(ValueError, match="header must be a JSON object"):
+            self.load_bytes(tmp_path, data)
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(layers=st.integers(1, 2), dims=st.lists(st.integers(4, 9), min_size=4, max_size=4),
+           mode=st.sampled_from(["euclidean", "projective"]),
+           counts=st.lists(st.integers(0, 2**40), min_size=3, max_size=3),
+           val_history=st.lists(st.tuples(st.integers(0, 10**6),
+                                          st.floats(allow_nan=False)), max_size=4),
+           best_val=st.none() | st.floats(allow_nan=False),
+           seed=st.integers(0, 2**32 - 1), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_roundtrip_property(self, layers, dims, mode, counts, val_history, best_val,
+                                seed, cut):
+        """Saving then loading returns the config, the header fields and the
+        bits of all three buffers; the file cut anywhere past its magic is
+        reported as truncated."""
+        cfg = TrainConfig(net=NetConfig(layers, *dims, mode=mode), seed=seed)
+        rng = np.random.default_rng(seed)
+        size = parameter_count(cfg.net)
+        buffers = [rng.integers(0, 2**64, size, dtype=np.uint64).view(np.float64)
+                   for _ in range(3)]
+        ckpt = Checkpoint(cfg, *buffers, *counts, val_history, best_val)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.bin"
+            save_checkpoint(ckpt, path)
+            back = load_checkpoint(path)
+            data = path.read_bytes()
+            path.write_bytes(data[:8 + int(cut * (len(data) - 8))])
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(path)
+        assert back.train_config == cfg
+        assert (back.adam_t, back.iteration, back.epoch) == tuple(counts)
+        assert back.val_history == val_history and back.best_val == best_val
+        for name, buffer in zip(("params", "adam_m", "adam_v"), buffers):
+            assert getattr(back, name).tobytes() == buffer.tobytes()
+
+    def test_save_and_load_hold_no_second_copy(self, tmp_path):
+        """On a 1.09M-parameter model, save_checkpoint allocates a small
+        part of one buffer (its largest tensor is 0.96 of the model) and
+        load_checkpoint little more than the three buffers it returns."""
+        cfg = TrainConfig(net=NetConfig(layers=1, d_p=8, d_v=16, d_s=8, d_g=1024))
+        size = parameter_count(cfg.net)
+        assert size >= 10**6
+        ckpt = Checkpoint(cfg, *(np.full(size, k + 0.5) for k in range(3)), 1, 1, 1, [], None)
+        path = tmp_path / "big.bin"
+        peaks = []
+        for run in (lambda: save_checkpoint(ckpt, path), lambda: load_checkpoint(path)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * size))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 and peaks[1] < 3.1, peaks
