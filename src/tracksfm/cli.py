@@ -26,7 +26,7 @@ from .geometry import (BaConfig, bundle_adjust, export_ply, load_reconstruction,
 from .network import Reconstruction, forward
 from .objective import loss
 from .scene import (EUCLIDEAN, NormalizationRecord, Scene, SceneError,
-                    SceneGenConfig, generate_synthetic, load_scene,
+                    SceneGenConfig, _is_count, generate_synthetic, load_scene,
                     normalize_euclidean, normalize_hartley, save_scene)
 from .train import TrainConfig, from_fields, load_checkpoint, save_checkpoint, train_loop
 
@@ -127,8 +127,8 @@ def synth(config_path, seed, out_dir):
     if not isinstance(raw, dict):
         raise ValueError("scene generator config must be a JSON object")
     count = raw.pop("count", 1)
-    if not isinstance(count, int) or isinstance(count, bool):
-        raise ValueError("scene generator field 'count' must be an integer")
+    if not _is_count(count) or count < 1:
+        raise ValueError("scene generator field 'count' must be a positive integer")
     cfg = from_fields(SceneGenConfig, raw, "scene generator")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,16 +236,16 @@ def infer(ckpt_path, scene_path, do_triangulate, out_dir):
 @main.command()
 @click.option("--scene", "scene_path", type=click.Path(exists=True), required=True)
 @click.option("--recon", "recon_path", type=click.Path(exists=True), required=True)
-@click.option("--huber", type=float, default=0.1, show_default=True)
-@click.option("--rounds", type=int, default=2, show_default=True)
-@click.option("--max-iters", type=int, default=100, show_default=True)
+@click.option("--huber", type=float, default=BaConfig.huber_threshold, show_default=True)
+@click.option("--rounds", type=int, default=BaConfig.rounds, show_default=True)
+@click.option("--max-iters", type=int, default=BaConfig.max_iters_per_round, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_wrap
 def ba(scene_path, recon_path, huber, rounds, max_iters, out_dir):
     """Two-round Huber bundle adjustment interleaved with triangulation."""
+    cfg = BaConfig(huber_threshold=huber, rounds=rounds, max_iters_per_round=max_iters)
     scene, _ = prepare_scene(load_scene(scene_path))
     recon = load_reconstruction(recon_path)
-    cfg = BaConfig(huber_threshold=huber, rounds=rounds, max_iters_per_round=max_iters)
     out = Path(out_dir)
     manifest = _manifest("ba", {"huber": huber, "rounds": rounds,
                                 "max_iters": max_iters}, None,

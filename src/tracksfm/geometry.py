@@ -16,7 +16,7 @@ from .autodiff import scatter_add
 from .network import Reconstruction
 from .rotations import matrix_to_quat, quat_multiply, quat_normalize, quat_to_matrix
 from .scene import (DEPTH_GUARD, EUCLIDEAN, PROJECTIVE, Incidence, NormalizationRecord,
-                    Scene, pose_matrices, project)
+                    Scene, _columns, _numbers, _poses_json, pose_matrices, project)
 
 
 class DegenerateConfigError(ValueError):
@@ -38,8 +38,11 @@ class BaConfig:
     rounds: int = 2                        # interleaved with triangulation
 
     def __post_init__(self):
-        if self.huber_threshold <= 0 or self.rounds < 1:
-            raise ValueError("huber threshold must be positive, rounds >= 1")
+        if not 0 < self.huber_threshold < np.inf:
+            raise ValueError("BA field 'huber_threshold' must be finite and positive")
+        for name in ("max_iters_per_round", "rounds"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"BA field {name!r} must be at least 1")
 
 
 @dataclass
@@ -558,53 +561,34 @@ def metrics(scene: Scene, recon: Reconstruction, gt: Reconstruction,
 # -- reconstruction io -------------------------------------------------------------
 
 def save_reconstruction(recon: Reconstruction, path) -> None:
-    doc: dict = {"mode": recon.mode,
-                 "points": [list(map(float, p)) for p in recon.points]}
+    doc: dict = {"mode": recon.mode, "points": recon.points.tolist()}
     if recon.mode == EUCLIDEAN:
-        doc["cameras"] = [
-            {"q": list(map(float, q)), "c": list(map(float, c))}
-            for q, c in zip(recon.quats, recon.centers)
-        ]
+        doc["cameras"] = _poses_json(recon.quats, recon.centers)
     else:
-        doc["cameras"] = [{"P": list(map(float, P.ravel()))} for P in recon.matrices]
+        doc["cameras"] = [{"P": P} for P in recon.matrices.reshape(-1, 12).tolist()]
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
-
-
-def _numbers(value, name: str, width: int) -> np.ndarray:
-    """value as a finite (k, width) float64 array; ValueError names the field."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ValueError(f"reconstruction {name} must be lists of {width} numbers")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"reconstruction {name} must be finite")
-    return arr
 
 
 def load_reconstruction(path) -> Reconstruction:
     """Read the JSON that `save_reconstruction` writes, with every
     quaternion scaled to unit norm. Raises ValueError naming the field when
-    the mode is unknown, a shape is wrong, a value is not finite or a
-    quaternion has zero norm."""
+    the mode is unknown, a camera has other keys than its mode's, a shape is
+    wrong, a value is not finite or a quaternion has zero norm."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict) or doc.get("mode") not in (EUCLIDEAN, PROJECTIVE):
         raise ValueError(f"reconstruction mode must be {EUCLIDEAN!r} or {PROJECTIVE!r}")
-    cameras = doc.get("cameras")
-    if not isinstance(cameras, list) or not all(isinstance(c, dict) for c in cameras):
-        raise ValueError("reconstruction cameras must be a list of objects")
-    points = _numbers(doc.get("points"), "points", 3)
+    points = _numbers(doc.get("points"), "reconstruction points", 3)
     if doc["mode"] == EUCLIDEAN:
-        quats = _numbers([c.get("q") for c in cameras], "camera q", 4)
+        quats, centers = _columns(doc.get("cameras"), "reconstruction cameras", ("q", "c"))
+        quats = _numbers(quats, "reconstruction camera q", 4)
         if not np.linalg.norm(quats, axis=1).all():
             raise ValueError("reconstruction camera q must have nonzero norm")
-        centers = _numbers([c.get("c") for c in cameras], "camera c", 3)
-        return Reconstruction(mode=EUCLIDEAN, quats=quat_normalize(quats), centers=centers,
-                              points=points)
-    matrices = _numbers([c.get("P") for c in cameras], "camera P", 12).reshape(-1, 3, 4)
+        return Reconstruction(mode=EUCLIDEAN, quats=quat_normalize(quats), points=points,
+                              centers=_numbers(centers, "reconstruction camera c", 3))
+    [matrices] = _columns(doc.get("cameras"), "reconstruction cameras", ("P",))
+    matrices = _numbers(matrices, "reconstruction camera P", 12).reshape(-1, 3, 4)
     return Reconstruction(mode=PROJECTIVE, matrices=matrices, points=points)
 
 

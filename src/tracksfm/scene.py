@@ -116,6 +116,9 @@ class Scene:
             raise IndexRangeError("view index out of range")
         if pi.size and (pi.min() < 0 or pi.max() >= n):
             raise IndexRangeError("point index out of range")
+        if 2 * max(m, n) > vi.size:          # before any array is sized by m or n
+            raise CoverageError(f"{m} views and {n} points need at least "
+                                f"{2 * max(m, n)} observations, not {vi.size}")
         order = np.lexsort((pi, vi))
         vi, pi, xy = vi[order], pi[order], xy[order]
         key = vi * n + pi
@@ -136,14 +139,12 @@ class Scene:
         object.__setattr__(self, "view_idx", _freeze(vi))
         object.__setattr__(self, "point_idx", _freeze(pi))
         object.__setattr__(self, "xy", _freeze(xy))
-        for name, rows in (("intrinsics", m), ("gt_quats", m),
-                           ("gt_centers", m), ("gt_points", self.num_points)):
+        for name, expect in (("intrinsics", (m, 3, 3)), ("gt_quats", (m, 4)),
+                             ("gt_centers", (m, 3)), ("gt_points", (n, 3))):
             val = getattr(self, name)
             if val is None:
                 continue
             arr = np.ascontiguousarray(np.asarray(val, dtype=np.float64))
-            expect = {"intrinsics": (rows, 3, 3), "gt_quats": (rows, 4),
-                      "gt_centers": (rows, 3), "gt_points": (rows, 3)}[name]
             if arr.shape != expect:
                 raise MalformedSceneError(f"{name} has shape {arr.shape}, expected {expect}")
             if not np.isfinite(arr).all():
@@ -235,55 +236,74 @@ def _apply_homogeneous(T: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return p[:, :2] / p[:, 2:3]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return _is_number(v) and isinstance(v, int) and v >= 0
+
+
+def _numbers(value, name: str, width: int) -> np.ndarray:
+    """value, a JSON list of lists of `width` numbers, as a finite (k, width)
+    float64 array (an empty list reads as (0, width)); ValueError names the field."""
+    if value == []:
+        return np.empty((0, width))
+    try:
+        arr = np.asarray(value)
+    except ValueError:                       # ragged lists
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "if" or arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must be lists of {width} numbers")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _columns(value, name: str, keys: tuple) -> list:
+    """One list per key of the values under it, from a JSON list of objects
+    whose keys are exactly `keys` (scene gt_poses, reconstruction cameras)."""
+    if not (isinstance(value, list)
+            and all(isinstance(o, dict) and o.keys() == set(keys) for o in value)):
+        raise ValueError(f"{name} must be a list of objects with keys "
+                         f"{', '.join(map(repr, keys))}")
+    return [[o[key] for o in value] for key in keys]
+
+
+def _poses_json(quats: np.ndarray, centers: np.ndarray) -> list:
+    """Poses as the {"q", "c"} objects that _columns reads."""
+    return [{"q": q, "c": c} for q, c in zip(quats.tolist(), centers.tolist())]
+
+
 def load_scene(path) -> Scene:
-    """Read a scene from the documented JSON format."""
+    """Read a scene from the documented JSON format. Checks the JSON type of
+    each field, naming it in a MalformedSceneError; the Scene checks the rest."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise MalformedSceneError(f"invalid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise MalformedSceneError("top level must be an object")
-    try:
-        m = int(doc["num_views"])
-        n = int(doc["num_points"])
-        mode = str(doc["mode"])
-        raw_obs = doc["observations"]
-    except KeyError as e:
-        raise MalformedSceneError(f"missing required field {e}") from e
-    if not isinstance(raw_obs, list) or any(not isinstance(o, list) or len(o) != 4
-                                            for o in raw_obs):
-        raise MalformedSceneError("observations must be a list of [i, j, x, y]")
-    obs = np.asarray(raw_obs, dtype=np.float64).reshape(-1, 4)
-    vi = obs[:, 0]
-    pi = obs[:, 1]
-    if np.any(vi != np.round(vi)) or np.any(pi != np.round(pi)):
-        raise MalformedSceneError("observation indices must be integers")
-    intr = None
-    if doc.get("intrinsics") is not None:
-        intr = np.asarray(doc["intrinsics"], dtype=np.float64)
-        if intr.shape != (m, 9):
-            raise MalformedSceneError("intrinsics must be m arrays of 9 numbers")
-        intr = intr.reshape(m, 3, 3)
-    quats = centers = None
-    if doc.get("gt_poses") is not None:
-        poses = doc["gt_poses"]
-        if (not isinstance(poses, list) or len(poses) != m
-                or any(not isinstance(p, dict) or sorted(p) != ["c", "q"] for p in poses)):
-            raise MalformedSceneError("gt_poses must be m objects with 'q' and 'c'")
-        quats = np.asarray([p["q"] for p in poses], dtype=np.float64)
-        centers = np.asarray([p["c"] for p in poses], dtype=np.float64)
-    gt_points = None
-    if doc.get("gt_points") is not None:
-        gt_points = np.asarray(doc["gt_points"], dtype=np.float64)
-        if gt_points.shape != (n, 3):
-            raise MalformedSceneError("gt_points must be n arrays of 3 numbers")
-    return Scene(
-        num_views=m, num_points=n,
-        view_idx=vi.astype(np.int64), point_idx=pi.astype(np.int64),
-        xy=obs[:, 2:4], mode=mode, intrinsics=intr,
-        gt_quats=quats, gt_centers=centers, gt_points=gt_points,
-    )
+        if not isinstance(doc, dict):
+            raise ValueError("top level must be an object")
+        for name in ("num_views", "num_points"):
+            if not _is_count(doc.get(name)):
+                raise ValueError(f"{name} must be a non-negative integer")
+        obs = _numbers(doc.get("observations"), "observations", 4)
+        if np.any(obs[:, :2] != np.round(obs[:, :2])):
+            raise ValueError("observation indices must be integers")
+        optional = {}
+        if doc.get("intrinsics") is not None:
+            optional["intrinsics"] = _numbers(doc["intrinsics"], "intrinsics", 9).reshape(-1, 3, 3)
+        if doc.get("gt_poses") is not None:
+            quats, centers = _columns(doc["gt_poses"], "gt_poses", ("q", "c"))
+            optional["gt_quats"] = _numbers(quats, "gt_quats", 4)
+            optional["gt_centers"] = _numbers(centers, "gt_centers", 3)
+        if doc.get("gt_points") is not None:
+            optional["gt_points"] = _numbers(doc["gt_points"], "gt_points", 3)
+    except ValueError as e:                  # JSONDecodeError included
+        raise MalformedSceneError(str(e)) from e
+    return Scene(num_views=doc["num_views"], num_points=doc["num_points"],
+                 view_idx=obs[:, 0].astype(np.int64), point_idx=obs[:, 1].astype(np.int64),
+                 xy=obs[:, 2:], mode=doc.get("mode"), **optional)
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -292,20 +312,15 @@ def save_scene(scene: Scene, path) -> None:
         "num_views": scene.num_views,
         "num_points": scene.num_points,
         "mode": scene.mode,
-        "observations": [
-            [int(i), int(j), float(x), float(y)]
-            for i, j, (x, y) in zip(scene.view_idx, scene.point_idx, scene.xy)
-        ],
+        "observations": [[i, j, x, y] for i, j, (x, y) in zip(
+            scene.view_idx.tolist(), scene.point_idx.tolist(), scene.xy.tolist())],
     }
     if scene.intrinsics is not None:
-        doc["intrinsics"] = [list(map(float, K.ravel())) for K in scene.intrinsics]
+        doc["intrinsics"] = scene.intrinsics.reshape(-1, 9).tolist()
     if scene.gt_quats is not None:
-        doc["gt_poses"] = [
-            {"q": list(map(float, q)), "c": list(map(float, c))}
-            for q, c in zip(scene.gt_quats, scene.gt_centers)
-        ]
+        doc["gt_poses"] = _poses_json(scene.gt_quats, scene.gt_centers)
     if scene.gt_points is not None:
-        doc["gt_points"] = [list(map(float, p)) for p in scene.gt_points]
+        doc["gt_points"] = scene.gt_points.tolist()
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f)
 

@@ -23,7 +23,8 @@ from .autodiff import NumericError
 from .network import ModelParams, NetConfig, forward, init_params, param_shapes
 from .objective import loss, normalize_param_grads
 from .rotations import axis_angle_to_matrix, matrix_to_quat, quat_to_matrix
-from .scene import EUCLIDEAN, Scene, SceneError, pose_matrices, project, subsample_views
+from .scene import (EUCLIDEAN, Scene, SceneError, _is_count, _is_number, pose_matrices, project,
+                    subsample_views)
 
 
 class InfeasibleOutlierRateError(SceneError):
@@ -88,10 +89,6 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         return from_fields(cls, d, "train config")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # What a JSON value must be for a config field of each type.
@@ -383,12 +380,6 @@ class Checkpoint:
     val_history: list
     best_val: float | None = None
 
-    @classmethod
-    def snapshot(cls, cfg: TrainConfig, params: ModelParams, state: AdamState,
-                 iteration: int, epoch: int, val_history, best_val) -> "Checkpoint":
-        return cls(cfg, params.flat.copy(), state.m.copy(), state.v.copy(), state.t,
-                   iteration, epoch, list(val_history), best_val)
-
     def restore_params(self) -> ModelParams:
         params = ModelParams(self.train_config.net)
         params.flat[...] = self.params
@@ -399,10 +390,6 @@ class Checkpoint:
         state.m[...] = self.adam_m
         state.v[...] = self.adam_v
         return state
-
-
-def _is_count(v) -> bool:
-    return _FIELD_TYPES[int][1](v) and v >= 0
 
 
 # What each checkpoint header field beside the configs must be.
@@ -462,8 +449,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError("checkpoint header must be a JSON object")
         cfg = TrainConfig.from_dict(header["train_config"])
         shapes = param_shapes(cfg.net)
-        if [(name, tuple(shape)) for name, shape in header["params"]] != list(shapes.items()):
-            raise ValueError("checkpoint parameters do not match its network config")
+        if header["params"] != [[name, list(shape)] for name, shape in shapes.items()]:
+            raise ValueError("checkpoint header field 'params' names parameters that "
+                             "do not match its network config")
         for key, (kind, valid) in _HEADER_FIELDS.items():
             if not valid(header[key]):
                 raise ValueError(f"checkpoint header field {key!r} must be {kind}")
@@ -534,11 +522,15 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     outliers (the network sees the corrupted scene, the loss targets the
     clean one), forward, backward, global gradient normalization, Adam at
     the scheduled rate. Validation runs every validate_every epochs and the
-    best-validation checkpoint is retained. On a numeric failure the loop
-    aborts and returns the last good state.
+    best-validation checkpoint, a copy, is retained (on resume, the
+    checkpoint itself if its last validation is its best). On a numeric
+    failure the loop aborts and returns the last good state, which
+    normalization and Adam leave as it was when they raise; the returned
+    checkpoint holds the loop's own buffers.
     """
     if not scenes:
         raise ValueError("no training scenes")
+    best = None
     if resume_from is not None:
         if resume_from.train_config.net != cfg.net:
             raise ValueError("the checkpoint's network config differs from the train config's")
@@ -548,6 +540,8 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         start_epoch = resume_from.epoch
         val_history = list(resume_from.val_history)
         best_val = resume_from.best_val
+        if val_history and val_history[-1] == (start_epoch, best_val):
+            best = replace(resume_from, train_config=cfg)
     else:
         params = init_params(cfg.net, cfg.seed)
         state = AdamState.zeros(params)
@@ -555,7 +549,6 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         start_epoch = 0
         val_history = []
         best_val = None
-    best = None
     losses = []
 
     for epoch in range(start_epoch, cfg.epochs):
@@ -578,8 +571,8 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
                 normalize_param_grads(params)
                 adam_step(params, state, lr_at(iteration, cfg))
             except NumericError as e:
-                ckpt = Checkpoint.snapshot(cfg, params, state, iteration, epoch,
-                                           val_history, best_val)
+                ckpt = Checkpoint(cfg, params.flat, state.m, state.v, state.t, iteration, epoch,
+                                  val_history, best_val)
                 return TrainResult(checkpoint=ckpt, best=best,
                                    loss_history=np.asarray(losses),
                                    val_history=val_history,
@@ -594,10 +587,10 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
             val_history.append((epoch + 1, val))
             if best_val is None or val < best_val:
                 best_val = val
-                best = Checkpoint.snapshot(cfg, params, state, iteration,
-                                           epoch + 1, val_history, best_val)
+                best = Checkpoint(cfg, params.flat.copy(), state.m.copy(), state.v.copy(),
+                                  state.t, iteration, epoch + 1, list(val_history), best_val)
 
-    final = Checkpoint.snapshot(cfg, params, state, iteration, max(start_epoch, cfg.epochs),
-                                val_history, best_val)
+    final = Checkpoint(cfg, params.flat, state.m, state.v, state.t, iteration,
+                       max(start_epoch, cfg.epochs), val_history, best_val)
     return TrainResult(checkpoint=final, best=best,
                        loss_history=np.asarray(losses), val_history=val_history)

@@ -337,7 +337,11 @@ class TestExitCodes:
         ("train", {"aug": [1, 2]}, "aug must be a JSON object"),
         ("synth", [1, 2], "scene generator config must be a JSON object"),
         ("synth", {"num_views": "6"}, "scene generator field 'num_views' must be an integer"),
-    ], ids=["train epochs", "train aug", "synth list", "synth num_views"])
+        ("synth", {"count": -1}, "scene generator field 'count' must be a positive integer"),
+        ("synth", {"count": 0}, "scene generator field 'count' must be a positive integer"),
+        ("synth", {"count": 1.5}, "scene generator field 'count' must be a positive integer"),
+    ], ids=["train epochs", "train aug", "synth list", "synth num_views", "synth count -1",
+            "synth count 0", "synth count float"])
     def test_config_value_of_wrong_type_is_2(self, runner, tmp_path, command, config,
                                              message):
         cfg_path = tmp_path / "cfg.json"
@@ -366,6 +370,22 @@ class TestExitCodes:
                                       "--val", scene_path, "--out", str(tmp_path / "o")])
         assert result.exit_code == 2, result.output
         assert f"train config field {field!r}" in result.output
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--max-iters", "-5", "max_iters_per_round"), ("--max-iters", "0", "max_iters_per_round"),
+        ("--rounds", "0", "rounds"), ("--huber", "nan", "huber_threshold"),
+        ("--huber", "inf", "huber_threshold"), ("--huber", "0", "huber_threshold"),
+    ], ids=["max-iters -5", "max-iters 0", "rounds 0", "huber nan", "huber inf", "huber 0"])
+    def test_bad_ba_option_is_2(self, runner, tmp_path, option, value, field):
+        """The BA settings are checked before the inputs are read or BA runs."""
+        scene_path = synth_scene(runner, tmp_path)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        result = runner.invoke(main, ["ba", "--scene", str(scene_path), "--recon", str(recon_path),
+                                      option, value, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"BA field {field!r}" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_failure_is_3(self, runner, tmp_path):
         scene_path = synth_scene(runner, tmp_path)

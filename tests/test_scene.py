@@ -1,8 +1,12 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracksfm.scene import (
     CoverageError,
@@ -115,6 +119,28 @@ class TestLoadScene:
         doc = dict(MINIMAL, observations=[], **{field: -1})
         with pytest.raises(MalformedSceneError, match="negative"):
             load_scene(write_scene_json(tmp_path, doc))
+
+    @pytest.mark.parametrize("field", ["num_views", "num_points"])
+    def test_size_beyond_observations(self, tmp_path, field):
+        """A size that four observations cannot cover is rejected before
+        anything is allocated for it."""
+        with pytest.raises(CoverageError, match="need at least"):
+            load_scene(write_scene_json(tmp_path, dict(MINIMAL, **{field: 10**30})))
+
+    @pytest.mark.parametrize("value", [[2], None, 2.7, "2", True],
+                             ids=["list", "null", "float", "string", "bool"])
+    @pytest.mark.parametrize("field", ["num_views", "num_points"])
+    def test_size_of_wrong_type(self, tmp_path, field, value):
+        doc = dict(MINIMAL, **{field: value})
+        with pytest.raises(MalformedSceneError, match=f"{field} must be a non-negative integer"):
+            load_scene(write_scene_json(tmp_path, doc))
+
+
+# A JSON value of each type that no scene field takes in this form: the
+# array fields take lists of lists of numbers, not of numbers.
+WRONG_VALUES = {"list": [1, 2], "null": None, "string": "euclidean?", "float": 2.5,
+                "bool": True, "object": {"q": [1, 0, 0, 0]}}
+OPTIONAL_FIELDS = ("intrinsics", "gt_poses", "gt_points")
 
 
 class TestRoundTrip:
@@ -353,3 +379,38 @@ class TestIncidence:
         for sub in derived:
             assert sub.incidence is not scene.incidence
             self.check(sub)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(views=st.integers(2, 6), points=st.integers(8, 20), visibility=st.floats(0.3, 1.0),
+       noise=st.sampled_from([0.0, 0.01]), mode=st.sampled_from(["euclidean", "projective"]),
+       ground_truth=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       field=st.sampled_from(["num_views", "num_points", "mode", "observations",
+                              *OPTIONAL_FIELDS]),
+       kind=st.sampled_from(sorted(WRONG_VALUES)))
+def test_scene_json_round_trip_property(views, points, visibility, noise, mode, ground_truth,
+                                        seed, field, kind):
+    """save_scene then load_scene returns bit-equal arrays; the file with one
+    top-level field replaced by a value of the wrong JSON type raises
+    MalformedSceneError and nothing else."""
+    scene = generate_synthetic(SceneGenConfig(views, points, visibility, noise, mode=mode),
+                               seed=seed)
+    if not ground_truth:
+        scene = replace(scene, gt_quats=None, gt_centers=None, gt_points=None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scene(scene, path)
+        back = load_scene(path)
+        doc = json.loads(path.read_text())
+        if not (kind == "null" and field in OPTIONAL_FIELDS):     # null: field absent
+            doc[field] = WRONG_VALUES[kind]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(MalformedSceneError):
+                load_scene(path)
+    assert (back.num_views, back.num_points, back.mode) == (views, points, mode)
+    for name in ("view_idx", "point_idx", "xy", "intrinsics", "gt_quats", "gt_centers",
+                 "gt_points"):
+        a, b = getattr(scene, name), getattr(back, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -327,6 +327,41 @@ class TestTrainLoop:
         assert res.aborted
         assert res.abort_reason
 
+    def test_resume_keeps_best(self, tmp_path):
+        """Resuming from a checkpoint whose last validation is its best
+        returns that checkpoint as the best when no later validation beats
+        it, with the bytes of the uninterrupted run's best."""
+        a, b, val = (make_scene(num_views=12, num_points=60, visibility=0.8, seed=s)[0]
+                     for s in (1, 2, 3))
+        cfgs = [TrainConfig(net=TINY_NET, epochs=epochs, validate_every=2, base_lr=1e-3,
+                            warmup_iters=0) for epochs in (6, 4)]
+        full = train_loop([a, b], [val], cfgs[0])
+        assert full.best.epoch == 4 < full.checkpoint.epoch
+        save_checkpoint(train_loop([a, b], [val], cfgs[1]).checkpoint, tmp_path / "half.bin")
+        resumed = train_loop([a, b], [val], cfgs[0],
+                             resume_from=load_checkpoint(tmp_path / "half.bin"))
+        assert resumed.best is not None
+        for name, result in (("full", full), ("resumed", resumed)):
+            save_checkpoint(result.best, tmp_path / f"{name}.bin")
+        assert (tmp_path / "full.bin").read_bytes() == (tmp_path / "resumed.bin").read_bytes()
+
+    def test_peak_memory_of_one_epoch(self):
+        """Only the best-validation checkpoint copies the buffers: the final
+        one holds the loop's own, so one epoch on an 880,884-parameter net
+        peaks below 6 parameter buffers (parameters, gradients, the two
+        moments, plus activations)."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=12)
+        cfg = TrainConfig(net=NetConfig(layers=1, d_p=16, d_v=256, d_s=64, d_g=512), epochs=1)
+        size = parameter_count(cfg.net)
+        assert size == 880_884
+        tracemalloc.start()
+        try:
+            train_loop([scene], [], cfg)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * size)
+        finally:
+            tracemalloc.stop()
+        assert peak < 6, peak
+
     def test_outlier_targets_are_uncorrupted(self):
         """With outlier injection on, the loss targets must be the clean
         (pre-corruption) measurements."""
@@ -430,6 +465,14 @@ class TestCheckpointFile:
         def edit(header):
             header[key] = value
         with pytest.raises(ValueError, match=f"checkpoint header field '{key}'"):
+            self.load_bytes(tmp_path, self.with_header(ckpt_bytes, edit))
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header.update(params=5),
+        lambda header: header.update(params=[[name, 5] for name, _ in header["params"]]),
+    ], ids=["number", "shapes numbers"])
+    def test_params_of_wrong_type(self, tmp_path, ckpt_bytes, edit):
+        with pytest.raises(ValueError, match="header field 'params'.*do not match"):
             self.load_bytes(tmp_path, self.with_header(ckpt_bytes, edit))
 
     def test_header_not_an_object(self, tmp_path, ckpt_bytes):
