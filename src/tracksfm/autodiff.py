@@ -6,15 +6,17 @@ scalar root in topological order (every operation's inputs precede it),
 then sweeps that list once in reverse, accumulating adjoints into every
 requires_grad leaf.
 
-The primitive set is what the attention network, loss, and optimizer
-compose: matmul, elementwise arithmetic, concat/narrow/gather/reshape,
-scatter-add and softmax over index segments, leaky_relu/relu, sqrt, where,
-and sum/mean reductions, plus two fused ones with hand-derived adjoints:
-`gatv2`, a whole GATv2 attention aggregation, and `layer_norm`, the
-affine layer norm. Each fused primitive repeats the operations of the
-composition it replaces in the same order and keeps its tape order, so
-values and gradients are bit-identical to that composition, while the
-tape holds one node instead of 17 or 3. All forward values are float64.
+The primitive set is what the attention network and loss compose: add,
+mul and div (also as the operators +, -, *, / and unary -, with the tensor
+on the left), matmul, concat/narrow/gather, relu, sqrt, where and sum/mean
+reductions, plus two fused ones with hand-derived adjoints: `gatv2`, a
+whole GATv2 attention aggregation, and `layer_norm`, the affine layer norm.
+Each fused primitive repeats the operations of the composition it replaces
+in the same order and keeps its tape order, so values and gradients are
+bit-identical to that composition, while the tape holds one node instead of
+17 or 3. `segment_sum` and `segment_softmax` belong to the composition
+`gatv2` replaces and are kept as primitives for it. All forward values are
+float64.
 Identical inputs give bit-identical outputs only within one numpy build,
 BLAS kernel and BLAS thread count: matrix products round differently
 under another kernel or thread count.
@@ -81,13 +83,10 @@ class Tensor:
         """Accumulate an adjoint. `owned` marks an array the caller has just
         allocated and holds no other reference to; it becomes the buffer
         without a copy. Anything else (the output adjoint passed through,
-        or a view of it) is copied, so no two tensors share a buffer."""
+        or a view of it) is copied, so no two tensors share a buffer. Every
+        vjp passes an adjoint of exactly this tensor's shape."""
         if self.grad is None:
-            if g.shape != self.values.shape:
-                self.grad = np.zeros_like(self.values)
-                self.grad += g
-            else:
-                self.grad = g if owned else g.copy()
+            self.grad = g if owned else g.copy()
         else:
             self.grad += g
 
@@ -95,19 +94,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
 
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __truediv__(self, other):
@@ -115,9 +105,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _trace(root: Tensor) -> list[Tensor]:
@@ -191,8 +178,10 @@ def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     Rows are summed in input order, starting from zero, so the result is
     bit-identical to np.add.at into zeros. Up to 2**15 values take one
     np.bincount over (row, column) cells; larger inputs take one per
-    column, which keeps the index temporary at one entry per row (BA
-    scatters 36-wide blocks of ~15k rows).
+    column, which keeps the index temporary at one entry per row. BA's
+    point blocks (9 columns) and back-substitution (3 columns) over the
+    ~15k observations of a 30x1000 scene take that path, as do the
+    full-scale network's gather adjoints and attention sums.
     """
     width = math.prod(values.shape[1:])
     flat = values.reshape(len(values), width)
@@ -463,13 +452,6 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
     return out, alpha
 
 
-def leaky_relu(t: Tensor, slope: float = 0.2) -> Tensor:
-    pos = t.values > 0
-    out = Tensor(np.where(pos, t.values, slope * t.values), _parents=(t,))
-    out._vjp = lambda g: t._add_grad(np.where(pos, g, slope * g), owned=True)
-    return out
-
-
 def relu(t: Tensor) -> Tensor:
     pos = t.values > 0
     out = Tensor(np.where(pos, t.values, 0.0), _parents=(t,))
@@ -526,12 +508,6 @@ def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reshape(t: Tensor, shape) -> Tensor:
-    out = Tensor(t.values.reshape(shape), _parents=(t,))
-    out._vjp = lambda g: t._add_grad(g.reshape(t.values.shape))
-    return out
-
-
 def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(t.values.sum(axis=axis, keepdims=keepdims), _parents=(t,))
 
@@ -578,7 +554,8 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-6,
                refine_step: float | None = None) -> GradCheckReport:
     """Compare reverse-mode gradients of f(params) with central differences.
 
-    f must be deterministic and return a scalar Tensor. Relative deviation
+    `params` maps names to the leaf Tensors to check. f must be
+    deterministic and return a scalar Tensor. Relative deviation
     per coordinate is |fd - ad| / max(|fd|, |ad|, 1e-3); the floor keeps
     finite-difference roundoff at near-zero gradients from registering as
     failures. With max_coords_per_param set, a seeded random subset of
@@ -590,17 +567,12 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-6,
     a kink (ReLU corner) straddled by the primary bracket both vanish as
     the step shrinks, while a wrong adjoint stays wrong at every step.
     """
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = [(str(i), p) for i, p in enumerate(params)]
-
-    zero_grads([p for _, p in items])
+    zero_grads(params.values())
     root = f()
     if not np.isfinite(root.values).all():
         raise NumericError("objective is not finite at the evaluation point")
-    backward(root, params=[p for _, p in items])
-    grads = {name: p.grad.copy() for name, p in items}
+    backward(root, params=params.values())
+    grads = {name: p.grad.copy() for name, p in params.items()}
 
     def central(flat, c, h):
         orig = flat[c]
@@ -616,7 +588,7 @@ def grad_check(f, params, step: float = 1e-5, tol: float = 1e-6,
     rng = np.random.default_rng(seed)
     per_param = {}
     overall = 0.0
-    for name, p in items:
+    for name, p in params.items():
         flat = p.values.reshape(-1)
         size = flat.size
         if max_coords_per_param is not None and size > max_coords_per_param:

@@ -29,6 +29,13 @@ LM_LAMBDA_SCALE = 10.0
 LM_LAMBDA_MAX = 1e12
 REL_DECREASE_TOL = 1e-12
 GRAD_TOL = 1e-12
+# A rejected step no longer than STEP_TOL * (|x| + STEP_TOL), x the cameras
+# and points, ends the round as converged (Ceres's parameter_tolerance;
+# Madsen, Nielsen & Tingleff 2004, sec. 3.2). Near a minimum the objective
+# changes with the square of the step, so a relative step below about
+# sqrt(machine epsilon) changes it by no more than its rounding: rejecting
+# such a step says the objective has reached its floor.
+STEP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -52,9 +59,9 @@ class BaDiagnostics:
     Each list holds one entry per round: the objective at the start and
     after each accepted step; the damping lambda each accepted step was
     solved with; the number of rejected steps; why the round stopped
-    ("relative decrease", "gradient", "iteration cap", "damping exhausted"
-    or "non-finite start"); and the number of observations with depth <= 0
-    at round start and at round end.
+    ("relative decrease", "gradient", "small step", "iteration cap",
+    "damping exhausted" or "non-finite start"); and the number of
+    observations with depth <= 0 at round start and at round end.
     """
 
     objectives: list = field(default_factory=list)
@@ -341,12 +348,20 @@ def _behind(z: np.ndarray) -> int:
     return int(np.count_nonzero(z[:, 2] <= 0))
 
 
+def _small_step(recon: Reconstruction, delta_c: np.ndarray, delta_p: np.ndarray) -> bool:
+    cams = (recon.quats, recon.centers) if recon.mode == EUCLIDEAN else (recon.matrices,)
+    x_norm = np.sqrt(sum(np.vdot(a, a) for a in (*cams, recon.points)))
+    step = np.sqrt(np.vdot(delta_c, delta_c) + np.vdot(delta_p, delta_p))
+    return step <= STEP_TOL * (x_norm + STEP_TOL)
+
+
 def _lm_steps(scene: Scene, recon: Reconstruction, r, z, cfg: BaConfig, trace: list,
               lambdas: list):
     """LM iterations from recon, whose residuals r and projections z give the
     finite objective trace[-1]. Each trial is a new reconstruction, kept only
-    when the objective falls; appends each accepted step's objective and
-    damping. Returns (stop reason, rejected steps, final reconstruction, its z)."""
+    when the objective falls; a rejected trial that is a small step ends the
+    round. Appends each accepted step's objective and damping. Returns (stop
+    reason, rejected steps, final reconstruction, its z)."""
     lam, rejected, obj = LM_LAMBDA_INIT, 0, trace[-1]
     for _ in range(cfg.max_iters_per_round):
         nb = _build_normal_blocks(scene, recon, r, z, cfg)
@@ -371,6 +386,8 @@ def _lm_steps(scene: Scene, recon: Reconstruction, r, z, cfg: BaConfig, trace: l
                 trace.append(obj)
                 break
             rejected += 1
+            if _small_step(recon, delta_c, delta_p):
+                return "small step", rejected, recon, z
             lam *= LM_LAMBDA_SCALE
         else:
             return "damping exhausted", rejected, recon, z
@@ -488,8 +505,6 @@ def align_similarity(est: Reconstruction, gt: Reconstruction) -> SimilarityTrans
     R_align = U @ D @ Vt
     var_e = (de * de).sum() / len(ce)
     s = float((d * np.diag(D)).sum() / var_e)
-    if s <= 0:
-        raise DegenerateConfigError("alignment produced non-positive scale")
     t = mu_g - s * R_align @ mu_e
     return SimilarityTransform(scale=s, quat=matrix_to_quat(R_align), translation=t)
 

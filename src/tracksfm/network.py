@@ -203,9 +203,6 @@ class ModelParams:
     def view(self, prefix: str) -> "_ParamView":
         return _ParamView(self.tensors, prefix)
 
-    def count(self) -> int:
-        return self.flat.size
-
 
 class _ParamView:
     def __init__(self, tensors, prefix: str):
@@ -260,32 +257,14 @@ def _linear(x: Tensor, pv, name: str) -> Tensor:
     return ad.matmul(x, sub["w"]) + sub["b"]
 
 
-def gatv2_attention(src: Tensor, tgt: Tensor, edge_tgt: np.ndarray, n_tgt: int,
-                    pv, return_weights: bool = False):
-    """Attention aggregation over a directed bipartite edge set.
-
-    Row e of `src` is the source of edge e, which points into target
-    `edge_tgt[e]`. Per head, the edge score is a . leaky_relu(W [h_tgt ||
-    h_src]); scores are softmax-normalized over each target's in-edges
-    (a target without one raises SegmentIndexError) and weight the
-    source-side linear projections. Head outputs are concatenated. With
-    return_weights, also returns the (E, heads) attention distribution as
-    a constant tensor. One `ad.gatv2` primitive computes it all.
-    """
-    out, alpha = ad.gatv2(src, tgt, pv["att.w"], pv["att.a"], edge_tgt, n_tgt,
-                          NUM_HEADS, LEAKY_SLOPE)
-    if return_weights:
-        return out, ad.constant(alpha)
-    return out
-
-
 def graph_cross_attention(h1: Tensor, h2: Tensor | None, edge_tgt: np.ndarray,
                           n_tgt: int, pv) -> Tensor:
     """Cross-attention wrapper: normalize the sources (row e of h1 feeds
     edge e) and the previous targets h2, or use zero queries without them;
-    attend; and apply `proj_in` (targets to the source width) and
-    `proj_out` (attention output to the target width) where `pv` holds
-    them, as `_gca_shapes` decides from the widths."""
+    attend with `ad.gatv2` (NUM_HEADS heads, `att.w` and `att.a`); and
+    apply `proj_in` (targets to the source width) and `proj_out`
+    (attention output to the target width) where `pv` holds them, as
+    `_gca_shapes` decides from the widths."""
     h1n = ad.relu(_ln_affine(h1, pv, "ln_src"))
     if h2 is not None:
         queries = ad.relu(_ln_affine(h2, pv, "ln_tgt"))
@@ -293,7 +272,8 @@ def graph_cross_attention(h1: Tensor, h2: Tensor | None, edge_tgt: np.ndarray,
             queries = _linear(queries, pv, "proj_in")
     else:
         queries = ad.constant(np.zeros((n_tgt, h1.shape[1])))
-    out = gatv2_attention(h1n, queries, edge_tgt, n_tgt, pv)
+    out, _ = ad.gatv2(h1n, queries, pv["att.w"], pv["att.a"], edge_tgt, n_tgt,
+                      NUM_HEADS, LEAKY_SLOPE)
     if "proj_out.w" in pv:
         out = _linear(out, pv, "proj_out")
     return out

@@ -29,7 +29,6 @@ class LossReport:
 
     mean_reprojection: float
     hinge_count: int
-    per_observation: np.ndarray | None = None
 
 
 def _cross(a: Tensor, b: Tensor) -> Tensor:
@@ -72,8 +71,7 @@ def _wrap_reconstruction(recon: Reconstruction) -> ForwardResult:
                          matrices=ad.constant(recon.matrices.reshape(-1, 12)))
 
 
-def loss(scene: Scene, result: ForwardResult | Reconstruction,
-         keep_per_observation: bool = False) -> tuple[Tensor, LossReport]:
+def loss(scene: Scene, result: ForwardResult | Reconstruction) -> tuple[Tensor, LossReport]:
     """Hinged mean reprojection error as a differentiable scalar.
 
     Per observation: ||m_ij - projection|| while the depth is at least the
@@ -100,12 +98,8 @@ def loss(scene: Scene, result: ForwardResult | Reconstruction,
     total = ad.tmean(term)
     if not np.isfinite(total.values).all():
         raise NumericError("loss is not finite")
-    report = LossReport(
-        mean_reprojection=total.values.item(),
-        hinge_count=int(hinged.sum()),
-        per_observation=term.values.ravel().copy() if keep_per_observation else None,
-    )
-    return total, report
+    return total, LossReport(mean_reprojection=total.values.item(),
+                             hinge_count=int(hinged.sum()))
 
 
 def normalize_param_grads(params) -> float:

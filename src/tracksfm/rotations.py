@@ -1,7 +1,8 @@
 """Quaternion and rotation-matrix helpers shared across the package.
 
 Quaternions are stored as (w, x, y, z) and assumed unit-norm unless noted.
-All functions accept a single item or a leading batch axis.
+The quaternion functions accept a single item or a leading batch axis;
+`axis_angle_to_matrix` and `look_at_rotation` take a single item.
 """
 
 from __future__ import annotations

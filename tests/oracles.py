@@ -7,7 +7,7 @@ observation at a time, and compared against the production code.
 import numpy as np
 
 from tracksfm import autodiff as ad
-from tracksfm.autodiff import scatter_add
+from tracksfm.autodiff import Tensor, scatter_add
 from tracksfm.geometry import _huber_weights, _residuals, camera_matrices
 from tracksfm.rotations import quat_normalize, quat_to_matrix
 from tracksfm.scene import DEPTH_GUARD
@@ -127,6 +127,22 @@ def normal_blocks_oracle(scene, recon, huber_threshold):
     return U, V, W, gc, gp, usable
 
 
+def leaky_relu(t, slope=0.2):
+    """The leaky ReLU as a primitive: x where x > 0, else slope * x."""
+    pos = t.values > 0
+    out = Tensor(np.where(pos, t.values, slope * t.values), _parents=(t,))
+    out._vjp = lambda g: t._add_grad(np.where(pos, g, slope * g), owned=True)
+    return out
+
+
+def reshape(t, shape):
+    """A reshape as a primitive; its adjoint is the output adjoint reshaped
+    back, copied into the parent's buffer."""
+    out = Tensor(t.values.reshape(shape), _parents=(t,))
+    out._vjp = lambda g: t._add_grad(g.reshape(t.values.shape))
+    return out
+
+
 def gatv2_oracle(src, tgt, w, a, edge_tgt, n_tgt, heads=4, slope=0.2):
     """`ad.gatv2` composed from 17 primitives, as the network computed the
     attention before the fusion. Returns the output and the weights tensor."""
@@ -137,11 +153,11 @@ def gatv2_oracle(src, tgt, w, a, edge_tgt, n_tgt, heads=4, slope=0.2):
     w_src = ad.narrow(w, 0, d1, d1)
     s_proj = ad.matmul(src, w_src)
     t_proj = ad.matmul(tgt, w_tgt)
-    act = ad.leaky_relu(ad.gather(t_proj, edge_tgt) + s_proj, slope)
-    scores = ad.tsum(ad.reshape(act, (-1, heads, hd)) * ad.reshape(a, (1, heads, hd)), axis=2)
+    act = leaky_relu(ad.gather(t_proj, edge_tgt) + s_proj, slope)
+    scores = ad.tsum(reshape(act, (-1, heads, hd)) * reshape(a, (1, heads, hd)), axis=2)
     alpha = ad.segment_softmax(scores, edge_tgt, n_tgt)
-    weighted = ad.reshape(s_proj, (-1, heads, hd)) * ad.reshape(alpha, (-1, heads, 1))
-    return ad.segment_sum(ad.reshape(weighted, (-1, da)), edge_tgt, n_tgt), alpha
+    weighted = reshape(s_proj, (-1, heads, hd)) * reshape(alpha, (-1, heads, 1))
+    return ad.segment_sum(reshape(weighted, (-1, da)), edge_tgt, n_tgt), alpha
 
 
 def layer_norm_oracle(x, gain, bias, eps=1e-5):

@@ -7,8 +7,9 @@ from click.testing import CliRunner
 
 from tracksfm.cli import main, prepare_scene
 from tracksfm.geometry import load_reconstruction, save_reconstruction
-from tracksfm.network import NetConfig
-from tracksfm.scene import load_scene
+from tracksfm.network import NetConfig, Reconstruction
+from tracksfm.rotations import axis_angle_to_matrix, matrix_to_quat, quat_multiply
+from tracksfm.scene import SceneGenConfig, generate_synthetic, load_scene, save_scene
 from tracksfm.train import TrainConfig, load_checkpoint, save_checkpoint, train_loop
 
 from conftest import gt_reconstruction
@@ -97,6 +98,15 @@ class TestTrainCommand:
         c = load_checkpoint(out_c / "checkpoint.bin")
         np.testing.assert_array_equal(a.params, c.params)
 
+    def test_seed_option_overrides_config(self, runner, tmp_path):
+        scene_path = synth_scene(runner, tmp_path)
+        out = tmp_path / "run"
+        run_ok(runner, ["train", "--config", str(tiny_train_config(tmp_path, 1)),
+                        "--scene", str(scene_path), "--seed", "5", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 5 and manifest["config"]["seed"] == 5
+        assert load_checkpoint(out / "checkpoint.bin").train_config.seed == 5
+
     def test_resume_with_other_network_is_2(self, runner, tmp_path):
         """A resume whose config names another network than the checkpoint
         is rejected before training, not when the checkpoint is saved."""
@@ -183,6 +193,57 @@ class TestInferBaEval:
         assert diag["message"] == (
             f"iteration cap (100) reached in round {', '.join(capped)}" if capped else "")
 
+    def run_ba(self, runner, scene_path, recon_path, out):
+        """`tracksfm ba` with its defaults; the exit code and the diagnostics."""
+        result = runner.invoke(main, ["ba", "--scene", str(scene_path), "--recon",
+                                      str(recon_path), "--out", str(out)])
+        return result, json.loads((out / "manifest.json").read_text())["diagnostics"]
+
+    def test_ba_converges_at_the_objective_floor(self, runner, tmp_path):
+        """A clean 30x1000 scene from a 5-degree start (rotations about
+        random axes, centers moved by 1% of the rig diameter, points by
+        0.01). BA reaches the objective's floor, where every trial is
+        rejected; a rejected step too small to change the objective ends
+        the round as converged instead of raising the damping to its cap."""
+        raw = generate_synthetic(SceneGenConfig(num_views=30, num_points=1000, visibility=0.5,
+                                                noise_sigma=1e-3), seed=4)
+        rng = np.random.default_rng(np.random.SeedSequence([4, 2]))
+        diam = float(np.linalg.norm(raw.gt_centers.max(0) - raw.gt_centers.min(0)))
+        quats = raw.gt_quats.copy()
+        for i in range(raw.num_views):
+            dq = matrix_to_quat(axis_angle_to_matrix(rng.normal(size=3), np.deg2rad(5.0)))
+            quats[i] = quat_multiply(dq, quats[i])
+        centers = raw.gt_centers + rng.normal(size=(raw.num_views, 3)) * 0.01 * diam
+        points = raw.gt_points + rng.normal(size=(raw.num_points, 3)) * 0.01
+        scene_path, recon_path = tmp_path / "scene.json", tmp_path / "start.json"
+        save_scene(raw, scene_path)
+        save_reconstruction(Reconstruction(mode="euclidean", quats=quats, centers=centers,
+                                           points=points), recon_path)
+        result, diag = self.run_ba(runner, scene_path, recon_path, tmp_path / "ba")
+        assert result.exit_code == 0, (result.output, diag["stop_reasons"])
+        assert diag["converged"] is True and "small step" in diag["stop_reasons"]
+
+    def test_projective_ba_converges_at_zero_residual(self, runner, tmp_path):
+        """A projective scene refined from a briefly trained network's
+        start reaches residuals of about 1e-15, where no trial lowers the
+        objective; BA still reports convergence."""
+        scene_path = synth_scene(runner, tmp_path, visibility=1.0, ring_radius=8.0,
+                                 arc_degrees=60.0, mode="projective")
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"net": {"layers": 1, "d_p": 8, "d_v": 16, "d_s": 8,
+                                                "d_g": 16, "mode": "projective"},
+                                        "epochs": 3, "seed": 0, "warmup_iters": 0}))
+        run_ok(runner, ["train", "--config", str(cfg_path), "--scene", str(scene_path),
+                        "--out", str(tmp_path / "run")])
+        run_ok(runner, ["infer", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"),
+                        "--scene", str(scene_path), "--triangulate",
+                        "--out", str(tmp_path / "inf")])
+        result, diag = self.run_ba(runner, scene_path, tmp_path / "inf" / "reconstruction.json",
+                                   tmp_path / "ba")
+        assert result.exit_code == 0, (result.output, diag["stop_reasons"])
+        assert diag["converged"] is True and "small step" in diag["stop_reasons"]
+        assert diag["objectives"][-1][-1] < 1e-26
+
     def test_eval_ground_truth_is_zero(self, runner, tmp_path):
         """Evaluating the ground truth against itself prints zeros."""
         scene_path = synth_scene(runner, tmp_path)
@@ -230,6 +291,41 @@ class TestExitCodes:
                                       str(recon_path), "--out", str(tmp_path / "ba")])
         assert result.exit_code == 2
         assert "finite" in result.output
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.update(observations=[o for o in doc["observations"]
+                                              if o[1] != 0 or o[0] == 0]),
+         "point 0 observed in 1 view(s), need >= 2"),
+        (lambda doc: doc["observations"][5].__setitem__(0, doc["num_views"]),
+         "view index out of range"),
+    ], ids=["point seen once", "view index"])
+    def test_bad_scene_is_2(self, runner, tmp_path, corrupt, message):
+        """A scene whose observations break an invariant is rejected by
+        name when read, before BA."""
+        scene_path = synth_scene(runner, tmp_path, visibility=1.0)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        doc = json.loads(scene_path.read_text())
+        corrupt(doc)
+        bad = tmp_path / "bad_scene.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["ba", "--scene", str(bad), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "ba")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+
+    def test_eval_without_ground_truth_is_2(self, runner, tmp_path):
+        scene_path = synth_scene(runner, tmp_path)
+        recon_path = tmp_path / "gt.json"
+        save_reconstruction(gt_reconstruction(load_scene(scene_path)), recon_path)
+        doc = json.loads(scene_path.read_text())
+        del doc["gt_poses"], doc["gt_points"]
+        bare = tmp_path / "no_gt.json"
+        bare.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--scene", str(bare), "--recon",
+                                      str(recon_path), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert "no ground truth" in result.output
 
     @pytest.mark.parametrize("command", ["ba", "eval"])
     def test_camera_count_mismatch_is_2(self, runner, tmp_path, command):
@@ -340,8 +436,18 @@ class TestExitCodes:
         ("synth", {"count": -1}, "scene generator field 'count' must be a positive integer"),
         ("synth", {"count": 0}, "scene generator field 'count' must be a positive integer"),
         ("synth", {"count": 1.5}, "scene generator field 'count' must be a positive integer"),
+        ("train", {"net": {"layers": 0}}, "need at least one layer"),
+        ("train", {"net": {"d_p": 2}}, "feature dimensions must be >= 4"),
+        ("train", {"net": {"mode": "affine"}}, "unknown mode 'affine'"),
+        ("train", {"outliers": {"rate": 1.5}}, "outlier rate must lie in [0, 1)"),
+        ("train", {"subseq_min": 1}, "bad subsequence range"),
+        ("train", {"subseq_min": 5, "subseq_max": 3}, "bad subsequence range"),
+        ("train", {"aug": {"alpha_range_deg": [10, -10]}},
+         "augmentation angle ranges must be ordered"),
     ], ids=["train epochs", "train aug", "synth list", "synth num_views", "synth count -1",
-            "synth count 0", "synth count float"])
+            "synth count 0", "synth count float", "train net layers 0", "train net d_p 2",
+            "train net mode", "train outlier rate", "train subseq_min 1",
+            "train subseq_min above max", "train aug range"])
     def test_config_value_of_wrong_type_is_2(self, runner, tmp_path, command, config,
                                              message):
         cfg_path = tmp_path / "cfg.json"

@@ -113,11 +113,14 @@ class TestLoss:
         assert report.hinge_count == 0
 
     def test_hinge_term_is_minus_depth(self):
-        """A point at depth -0.5 contributes exactly 0.5."""
+        """A point at depth -0.5 contributes exactly 0.5. Both points
+        project to the image origin, so the other three terms are the
+        distances of their measurements from it: 0.1, 0.1 and sqrt(0.02)."""
         scene, recon = behind_camera_scene()
-        _, report = loss(scene, recon, keep_per_observation=True)
+        _, report = loss(scene, recon)
         assert report.hinge_count == 1
-        np.testing.assert_allclose(report.per_observation[0], 0.5, atol=1e-15)
+        expected = (0.5 + 0.1 + 0.1 + np.sqrt(0.02)) / 4
+        np.testing.assert_allclose(report.mean_reprojection, expected, rtol=0, atol=1e-15)
 
     def test_boundary_depth_takes_reprojection_branch(self):
         """depth == h exactly: strict inequality routes to reprojection."""

@@ -17,6 +17,7 @@ from tracksfm.objective import loss
 from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
 from tracksfm.train import (
     AdamState,
+    AugmentConfig,
     Checkpoint,
     InfeasibleOutlierRateError,
     OutlierConfig,
@@ -285,6 +286,29 @@ class TestTrainLoop:
 
         np.testing.assert_array_equal(full.checkpoint.params, resumed.checkpoint.params)
         assert full.checkpoint.iteration == resumed.checkpoint.iteration
+
+    def test_resume_with_augmentation_and_outliers_is_bit_exact(self):
+        """With augmentation and outlier injection on, two epochs and a
+        resume for two more give the buffers and losses of four epochs
+        straight through."""
+        scenes = [make_scene(num_views=6, num_points=20, visibility=0.9, seed=seed)[0]
+                  for seed in (21, 22)]
+
+        def run(epochs, resume_from=None):
+            cfg = tiny_train_cfg(epochs, seed=5, warmup_iters=0, subseq_min=4, subseq_max=6,
+                                 aug=AugmentConfig(enabled=True),
+                                 outliers=OutlierConfig(enabled=True, rate=0.1))
+            return train_loop(scenes, [], cfg, resume_from=resume_from)
+
+        full = run(4)
+        half = run(2)
+        rest = run(4, resume_from=half.checkpoint)
+        for buffer in ("params", "adam_m", "adam_v"):
+            np.testing.assert_array_equal(getattr(full.checkpoint, buffer),
+                                          getattr(rest.checkpoint, buffer))
+        assert len(full.loss_history) == 8
+        np.testing.assert_array_equal(full.loss_history,
+                                      np.concatenate([half.loss_history, rest.loss_history]))
 
     def test_checkpoint_roundtrip(self, tmp_path):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=9)
