@@ -17,6 +17,10 @@ bit-identical to that composition, while the tape holds one node instead of
 17 or 3. `segment_sum` and `segment_softmax` belong to the composition
 `gatv2` replaces and are kept as primitives for it. All forward values are
 float64.
+The right operand of add, mul and div may be a number or an array: it
+becomes a constant Tensor and takes the Tensor path, shape check included
+(a mismatch raises ShapeError). So `div` divides by a number; it does not
+multiply by its reciprocal.
 Identical inputs give bit-identical outputs only within one numpy build,
 BLAS kernel and BLAS thread count: matrix products round differently
 under another kernel or thread count.
@@ -95,7 +99,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
+        return add(self, -other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -197,13 +201,14 @@ def scatter_add(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
 
 # -- primitives ----------------------------------------------------------
 
+def _operand(b) -> Tensor:
+    """A number or array operand as a constant Tensor, so that add, mul and
+    div run one code path whatever the right operand is."""
+    return b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=np.float64))
+
+
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b_values = np.asarray(b, dtype=np.float64)
-        out = Tensor(a.values + b_values, _parents=(a,),
-                     _vjp=None)
-        out._vjp = lambda g: _add_passed(a, g)
-        return out
+    b = _operand(b)
     try:
         values = a.values + b.values
     except ValueError as e:
@@ -226,12 +231,7 @@ def _add_passed(t: Tensor, g: np.ndarray) -> None:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b_values = np.asarray(b, dtype=np.float64)
-        out = Tensor(a.values * b_values, _parents=(a,))
-        out._vjp = lambda g: a._add_grad(_unbroadcast(g * b_values, a.values.shape),
-                                         owned=True)
-        return out
+    b = _operand(b)
     try:
         values = a.values * b.values
     except ValueError as e:
@@ -248,8 +248,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def div(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return mul(a, 1.0 / np.asarray(b, dtype=np.float64))
+    b = _operand(b)
     try:
         values = a.values / b.values
     except ValueError as e:
@@ -430,8 +429,6 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
         g_prod = np.broadcast_to(g_scores[:, :, None], act3.shape)
         if a._needs:
             a._add_grad(_unbroadcast(g_prod * act3, a3.shape).reshape(a.shape), owned=True)
-        if not (tgt._needs or src._needs or w._needs):
-            return
         g_act = (g_prod * a3).reshape(-1, da)
         g_pre = np.where(pos, g_act, slope * g_act)
         if tgt._needs or w._needs:
@@ -519,9 +516,9 @@ def tsum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
-def tmean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = t.values.size if axis is None else t.values.shape[axis]
-    return mul(tsum(t, axis=axis, keepdims=keepdims), 1.0 / count)
+def tmean(t: Tensor) -> Tensor:
+    """The mean of all entries, as a scalar."""
+    return mul(tsum(t), 1.0 / t.values.size)
 
 
 def constant(values) -> Tensor:

@@ -21,13 +21,13 @@ import numpy as np
 
 from . import __version__
 from .autodiff import NumericError
-from .geometry import (BaConfig, bundle_adjust, export_ply, load_reconstruction,
-                       metrics, save_reconstruction, triangulate)
+from .geometry import (BaConfig, bundle_adjust, camera_matrices, export_ply,
+                       load_reconstruction, metrics, reprojection_errors_px,
+                       save_reconstruction, triangulate)
 from .network import Reconstruction, forward
-from .objective import loss
 from .scene import (EUCLIDEAN, NormalizationRecord, Scene, SceneError,
                     SceneGenConfig, _is_count, generate_synthetic, load_scene,
-                    normalize_euclidean, normalize_hartley, save_scene)
+                    normalize_euclidean, normalize_hartley, project, save_scene)
 from .train import TrainConfig, from_fields, load_checkpoint, save_checkpoint, train_loop
 
 EXIT_VALIDATION = 2
@@ -77,6 +77,16 @@ def prepare_scene(scene: Scene) -> tuple[Scene, NormalizationRecord]:
             return normalize_euclidean(scene)
         return scene, NormalizationRecord.identity(scene.num_views)
     return normalize_hartley(scene)
+
+
+def _reprojection_line(scene: Scene, recon: Reconstruction) -> str:
+    """The mean reprojection error in normalized units (inf when a
+    projection falls under the depth guard) and the count of observations
+    at depth <= 0, which the error alone does not show."""
+    errors = reprojection_errors_px(scene, recon)
+    _, z = project(camera_matrices(recon), recon.points, scene.view_idx, scene.point_idx)
+    return (f"mean reprojection (normalized) {errors.mean():.6g}; "
+            f"{int((z[:, 2] <= 0).sum())} of {len(errors)} observations at depth <= 0")
 
 
 class _ExitCode(Exception):
@@ -228,9 +238,7 @@ def infer(ckpt_path, scene_path, do_triangulate, out_dir):
     save_reconstruction(recon, recon_path)
     manifest.outputs.append(str(recon_path))
     manifest.write(out)
-    _, report = loss(scene, recon)
-    click.echo(f"inference done; mean reprojection (normalized) "
-               f"{report.mean_reprojection:.6g}")
+    click.echo(f"inference done; {_reprojection_line(scene, recon)}")
 
 
 @main.command()
@@ -261,9 +269,7 @@ def ba(scene_path, recon_path, huber, rounds, max_iters, out_dir):
     save_reconstruction(refined, refined_path)
     manifest.outputs.append(str(refined_path))
     manifest.write(out)
-    _, report = loss(scene, refined)
-    click.echo(f"BA finished; mean reprojection (normalized) "
-               f"{report.mean_reprojection:.6g}")
+    click.echo(f"BA finished; {_reprojection_line(scene, refined)}")
     if not diag.converged:
         raise _ExitCode(EXIT_NONCONVERGENCE, f"BA did not converge: {diag.message}")
 

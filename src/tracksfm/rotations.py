@@ -92,19 +92,19 @@ def axis_angle_to_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 
-def look_at_rotation(center: np.ndarray, target: np.ndarray, up=(0.0, 0.0, 1.0)) -> np.ndarray:
-    """World-to-camera rotation for a camera at `center` looking at `target`.
+def look_at_rotation(center: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """World-to-camera rotation for a camera at `center` looking at `target`,
+    with the world +z axis as the up reference.
 
     Camera convention: +z forward (viewing direction), +x right, +y down.
     """
     center = np.asarray(center, dtype=np.float64)
     fwd = np.asarray(target, dtype=np.float64) - center
     fwd = fwd / np.linalg.norm(fwd)
-    up = np.asarray(up, dtype=np.float64)
-    right = np.cross(fwd, up)
+    right = np.cross(fwd, np.array([0.0, 0.0, 1.0]))
     nr = np.linalg.norm(right)
     if nr < 1e-12:
-        # viewing direction parallel to up; pick another reference
+        # viewing direction parallel to +z; pick another reference
         right = np.cross(fwd, np.array([1.0, 0.0, 0.0]))
         nr = np.linalg.norm(right)
     right = right / nr

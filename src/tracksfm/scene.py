@@ -375,9 +375,9 @@ class SceneGenConfig:
 
     Cameras sit on a jittered ring segment of the given radius and arc,
     ordered by ring angle (so view indices follow capture order, the way
-    real capture walks do), all looking at a point cloud inside a
-    unit-scale box around the origin. Every point therefore has positive
-    depth in every camera by construction.
+    real capture walks do), all looking at a point cloud inside the fixed
+    cube [-0.5, 0.5]^3. Every point therefore has positive depth in every
+    camera by construction.
     """
 
     num_views: int = 10
@@ -386,9 +386,7 @@ class SceneGenConfig:
     noise_sigma: float = 0.0
     ring_radius: float = 4.0
     arc_degrees: float = 360.0
-    box_size: float = 1.0
     mode: str = EUCLIDEAN
-    max_repair_rounds: int = 100
 
 
 def generate_synthetic(cfg: SceneGenConfig, seed: int) -> Scene:
@@ -406,36 +404,30 @@ def generate_synthetic(cfg: SceneGenConfig, seed: int) -> Scene:
         raise InfeasibleVisibilityError("visibility must be in (0, 1]")
     rng = np.random.default_rng(seed)
 
-    half = cfg.box_size / 2.0
-    points = rng.uniform(-half, half, size=(n, 3))
+    points = rng.uniform(-0.5, 0.5, size=(n, 3))
 
     arc = np.deg2rad(cfg.arc_degrees)
     angles = rng.uniform(0.0, 2.0 * np.pi) + np.sort(rng.uniform(0.0, arc, size=m))
     radii = cfg.ring_radius * (1.0 + rng.uniform(-0.1, 0.1, size=m))
-    heights = rng.uniform(-0.5, 0.5, size=m) * cfg.box_size
+    heights = rng.uniform(-0.5, 0.5, size=m)
     centers = np.stack([radii * np.cos(angles), radii * np.sin(angles), heights], axis=1)
-    look_targets = rng.uniform(-0.1, 0.1, size=(m, 3)) * cfg.box_size
+    look_targets = rng.uniform(-0.1, 0.1, size=(m, 3))
     quats = np.stack([
         matrix_to_quat(look_at_rotation(centers[i], look_targets[i]))
         for i in range(m)
     ])
 
+    # Every point gets its second view, then every view its eighth point.
+    # The second pass only adds views to points, so one pass meets both.
     visible = rng.random((m, n)) < cfg.visibility
-    for _ in range(cfg.max_repair_rounds):
-        need_views = np.flatnonzero(visible.sum(axis=0) < 2)
-        for j in need_views:
-            off = np.flatnonzero(~visible[:, j])
-            add = rng.choice(off, size=2 - int(visible[:, j].sum()), replace=False)
-            visible[add, j] = True
-        need_points = np.flatnonzero(visible.sum(axis=1) < 8)
-        for i in need_points:
-            off = np.flatnonzero(~visible[i])
-            add = rng.choice(off, size=8 - int(visible[i].sum()), replace=False)
-            visible[i, add] = True
-        if np.all(visible.sum(axis=0) >= 2) and np.all(visible.sum(axis=1) >= 8):
-            break
-    else:
-        raise InfeasibleVisibilityError("could not satisfy coverage constraints")
+    for j in np.flatnonzero(visible.sum(axis=0) < 2):
+        off = np.flatnonzero(~visible[:, j])
+        add = rng.choice(off, size=2 - int(visible[:, j].sum()), replace=False)
+        visible[add, j] = True
+    for i in np.flatnonzero(visible.sum(axis=1) < 8):
+        off = np.flatnonzero(~visible[i])
+        add = rng.choice(off, size=8 - int(visible[i].sum()), replace=False)
+        visible[i, add] = True
 
     vi, pi = np.nonzero(visible)
     xy, _ = project(pose_matrices(quat_to_matrix(quats), centers), points, vi, pi)

@@ -159,6 +159,10 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
 # at 2**18, one BLAS thread): the six 64 KB arrays a bucket touches stay in
 # cache across the fourteen elementwise passes of the update.
 ADAM_BUCKET = 2**13
+# Adam's moment decay rates and denominator offset (Kingma & Ba, ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class AdamState:
@@ -187,8 +191,7 @@ class AdamState:
         return cls(OrderedDict((k, p.values.shape) for k, p in params.tensors.items()))
 
 
-def adam_step(params: ModelParams, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
     """Standard Adam update with bias correction, in place on the params,
     from each parameter's `.grad`. A missing or non-finite gradient, or a
     state of another size, is rejected before anything changes. The update
@@ -205,8 +208,8 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
         if not np.isfinite(p.grad).all():
             raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for start, stop, names in state.buckets:
         if len(names) == 1:
             g = params[names[0]].grad.reshape(-1)
@@ -215,17 +218,17 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
         m = state.m[start:stop]
         v = state.v[start:stop]
         tmp = np.empty_like(g)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=tmp)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=tmp)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
         tmp *= g
         v += tmp
         step = np.divide(m, bc1)
         step *= lr
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += eps
+        tmp += ADAM_EPS
         step /= tmp
         params.flat[start:stop] -= step
     return state
@@ -233,23 +236,17 @@ def adam_step(params: ModelParams, state: AdamState, lr: float,
 
 # -- data augmentation -----------------------------------------------------
 
-@dataclass
-class AugmentDraws:
-    alphas_deg: np.ndarray
-    gammas_deg: np.ndarray
-    axis_angles: np.ndarray   # direction of the in-plane gamma axis, radians
-
-
 def augment(scene: Scene, rng: np.random.Generator,
-            alpha_range_deg=(-15.0, 15.0), gamma_range_deg=(-20.0, 20.0),
-            return_draws: bool = False):
+            alpha_range_deg=(-15.0, 15.0), gamma_range_deg=(-20.0, 20.0)) -> Scene:
     """Rotate every camera about its own center and re-render observations.
 
     First a rotation by alpha about the principal (viewing) axis, then by
-    gamma about a uniformly random axis orthogonal to it. Scene points stay
-    fixed; image points are replaced by exact reprojections under the
-    perturbed poses, and gt_poses are updated to match. Requires a
-    normalized euclidean scene with ground-truth poses and points.
+    gamma about a uniformly random axis orthogonal to it. `rng` draws the
+    m alphas (degrees), then the m axis directions (angles in [0, 2 pi) in
+    the image plane), then the m gammas (degrees). Scene points stay fixed;
+    image points are replaced by exact reprojections under the perturbed
+    poses, and gt_poses are updated to match. Requires a normalized
+    euclidean scene with ground-truth poses and points.
     """
     if scene.mode != EUCLIDEAN:
         raise SceneError("augmentation is defined for euclidean scenes")
@@ -275,10 +272,7 @@ def augment(scene: Scene, rng: np.random.Generator,
                     scene.view_idx, scene.point_idx)
     if np.any(z[:, 2] <= 0):
         raise NumericError("augmentation rotated a point behind its camera")
-    out = replace(scene, xy=xy, gt_quats=matrix_to_quat(R_new))
-    if return_draws:
-        return out, AugmentDraws(alphas, gammas, thetas)
-    return out
+    return replace(scene, xy=xy, gt_quats=matrix_to_quat(R_new))
 
 
 # -- artificial outlier injection -------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -25,6 +27,18 @@ def gt_reconstruction(raw) -> Reconstruction:
                           points=raw.gt_points.copy())
 
 
+def augment_draws(seed, num_views, alpha_range_deg=(-15.0, 15.0),
+                  gamma_range_deg=(-20.0, 20.0)):
+    """The angles `augment` draws from default_rng(seed), replayed in its
+    documented order: the alphas (degrees), the in-plane axis directions
+    (radians), then the gammas (degrees)."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(*alpha_range_deg, size=num_views)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, size=num_views)
+    gammas = rng.uniform(*gamma_range_deg, size=num_views)
+    return alphas, thetas, gammas
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -37,3 +51,15 @@ def pytest_configure(config):
     cache = getattr(config, "cache", None)
     if cache is not None:
         set_hypothesis_home_dir(cache.mkdir("hypothesis"))
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Turn every warning a test under this directory raises into an
+    error. A test that expects one catches it with pytest.warns. Tests
+    collected elsewhere in the same session keep pytest's defaults."""
+    for item in items:
+        if item.path.resolve().is_relative_to(TESTS_DIR):
+            item.add_marker(pytest.mark.filterwarnings("error"))

@@ -28,7 +28,7 @@ from tracksfm.train import (TrainConfig, augment, inject_outliers,
                             load_checkpoint, lr_at, save_checkpoint,
                             train_loop)
 
-from conftest import gt_reconstruction
+from conftest import augment_draws, gt_reconstruction
 
 
 def criterion(num, ok, detail):
@@ -369,12 +369,12 @@ def test_criterion_09_augmentation_consistency():
     alphas, gammas = [], []
     for seed in range(100):
         scene_n, _ = normalized_scene(cfg, seed=seed + 800)
-        out, draws = augment(scene_n, np.random.default_rng(seed),
-                             return_draws=True)
+        out = augment(scene_n, np.random.default_rng(seed))
         _, rep = loss(out, gt_reconstruction(out))
         worst = max(worst, rep.mean_reprojection)
-        alphas.extend(draws.alphas_deg)
-        gammas.extend(draws.gammas_deg)
+        drawn_alphas, _, drawn_gammas = augment_draws(seed, scene_n.num_views)
+        alphas.extend(drawn_alphas)
+        gammas.extend(drawn_gammas)
     alphas, gammas = np.asarray(alphas), np.asarray(gammas)
     in_range = (np.abs(alphas) <= 15.0).all() and (np.abs(gammas) <= 20.0).all()
     spread = alphas.max() > 10 and alphas.min() < -10 \

@@ -295,6 +295,13 @@ class TestGradientBuffers:
         assert_distinct_grads(x, y)
 
 
+def test_div_by_number_divides():
+    """Dividing by a number divides; it does not multiply by the
+    reciprocal, which rounds differently for about a third of the values."""
+    x = ad.parameter(np.random.default_rng(0).normal(size=1000))
+    np.testing.assert_array_equal(ad.div(x, 3.0).values, x.values / 3.0)
+
+
 class TestShapeErrors:
     def test_matmul_mismatch(self):
         with pytest.raises(ShapeError):
@@ -303,6 +310,12 @@ class TestShapeErrors:
     def test_add_mismatch(self):
         with pytest.raises(ShapeError):
             ad.constant(np.ones((2, 3))) + ad.constant(np.ones((4, 5)))
+
+    @pytest.mark.parametrize("op", [ad.add, ad.mul, ad.div], ids=["add", "mul", "div"])
+    def test_array_operand_mismatch(self, op):
+        """An array operand takes the Tensor path, shape check included."""
+        with pytest.raises(ShapeError):
+            op(ad.constant(np.ones((2, 3))), np.ones((4, 5)))
 
     def test_narrow_out_of_range(self):
         with pytest.raises(ShapeError):

@@ -244,6 +244,26 @@ class TestInferBaEval:
         assert diag["converged"] is True and "small step" in diag["stop_reasons"]
         assert diag["objectives"][-1][-1] < 1e-26
 
+    def test_ba_reports_reprojection_and_depth_sign(self, runner, tmp_path):
+        """Points and centers mirrored through the origin, rotations kept:
+        every camera-frame coordinate changes sign, so each observation
+        reprojects exactly but lies behind its camera. `ba` prints the
+        zero reprojection error and counts all 320 observations at depth
+        <= 0, where the depth-hinged loss would read about 4."""
+        raw = generate_synthetic(SceneGenConfig(num_views=8, num_points=40), seed=0)
+        scene_path, recon_path = tmp_path / "scene.json", tmp_path / "mirrored.json"
+        save_scene(raw, scene_path)
+        save_reconstruction(Reconstruction(mode="euclidean", quats=raw.gt_quats,
+                                           centers=-raw.gt_centers, points=-raw.gt_points),
+                            recon_path)
+        result = run_ok(runner, ["ba", "--scene", str(scene_path), "--recon",
+                                 str(recon_path), "--out", str(tmp_path / "ba")])
+        line = result.output.splitlines()[-1]
+        assert line.startswith("BA finished; mean reprojection (normalized) ")
+        mean = float(line.split("(normalized) ")[1].split(";")[0])
+        assert mean < 1e-9
+        assert line.endswith("; 320 of 320 observations at depth <= 0")
+
     def test_eval_ground_truth_is_zero(self, runner, tmp_path):
         """Evaluating the ground truth against itself prints zeros."""
         scene_path = synth_scene(runner, tmp_path)
@@ -427,6 +447,17 @@ class TestExitCodes:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "unknown" in result.output and "'bogus'" in result.output
+
+    @pytest.mark.parametrize("field, value", [("box_size", 1.0), ("max_repair_rounds", 100)])
+    def test_fixed_generator_setting_is_2(self, runner, tmp_path, field, value):
+        """The box size and the repair pass are fixed, so a synth config
+        naming them is rejected like any unknown field."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_views": 6, field: value}))
+        result = runner.invoke(main, ["synth", "--config", str(cfg_path),
+                                      "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert f"unknown scene generator field '{field}'" in result.output
 
     @pytest.mark.parametrize("command, config, message", [
         ("train", {"epochs": "5"}, "train config field 'epochs' must be an integer"),

@@ -14,6 +14,7 @@ from tracksfm import train as train_mod
 from tracksfm.autodiff import NumericError
 from tracksfm.network import ModelParams, NetConfig, init_params, param_shapes, parameter_count
 from tracksfm.objective import loss
+from tracksfm.rotations import axis_angle_to_matrix, quat_to_matrix
 from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
 from tracksfm.train import (
     AdamState,
@@ -31,7 +32,7 @@ from tracksfm.train import (
     train_loop,
 )
 
-from conftest import make_scene, gt_reconstruction
+from conftest import augment_draws, make_scene, gt_reconstruction
 
 TINY_NET = NetConfig(layers=1, d_p=8, d_v=16, d_s=8, d_g=16)
 
@@ -195,19 +196,29 @@ class TestAugment:
         """gamma = 0 reduces to an in-plane rotation of each view's
         normalized points by alpha about the origin."""
         scene, _, _ = make_scene(num_views=4, num_points=15, seed=2)
-        out, draws = augment(scene, np.random.default_rng(3),
-                             gamma_range_deg=(0.0, 0.0), return_draws=True)
+        out = augment(scene, np.random.default_rng(3), gamma_range_deg=(0.0, 0.0))
+        alphas, _, _ = augment_draws(3, scene.num_views, gamma_range_deg=(0.0, 0.0))
         for i in range(scene.num_views):
-            a = np.deg2rad(draws.alphas_deg[i])
+            a = np.deg2rad(alphas[i])
             rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
             sel = scene.view_idx == i
             np.testing.assert_allclose(out.xy[sel], scene.xy[sel] @ rot.T, atol=1e-12)
 
     def test_angles_within_ranges(self):
+        """The replayed angles are the ones augment applied (each pose
+        turns by alpha about its viewing axis, then by gamma about the
+        drawn in-plane axis), and they lie inside the default ranges."""
         scene, _, _ = make_scene(num_views=6, num_points=12, seed=3)
-        _, draws = augment(scene, np.random.default_rng(4), return_draws=True)
-        assert (np.abs(draws.alphas_deg) <= 15.0).all()
-        assert (np.abs(draws.gammas_deg) <= 20.0).all()
+        out = augment(scene, np.random.default_rng(4))
+        alphas, thetas, gammas = augment_draws(4, scene.num_views)
+        R_old, R_new = quat_to_matrix(scene.gt_quats), quat_to_matrix(out.gt_quats)
+        for i in range(scene.num_views):
+            Rz = axis_angle_to_matrix([0.0, 0.0, 1.0], np.deg2rad(alphas[i]))
+            Rg = axis_angle_to_matrix([np.cos(thetas[i]), np.sin(thetas[i]), 0.0],
+                                      np.deg2rad(gammas[i]))
+            np.testing.assert_allclose(R_new[i], Rg @ Rz @ R_old[i], atol=1e-12)
+        assert (np.abs(alphas) <= 15.0).all()
+        assert (np.abs(gammas) <= 20.0).all()
 
     def test_requires_ground_truth(self):
         scene, _, _ = make_scene(seed=1)
