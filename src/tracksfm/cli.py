@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import click
@@ -24,7 +24,7 @@ from .autodiff import NumericError
 from .geometry import (BaConfig, bundle_adjust, camera_matrices, export_ply,
                        load_reconstruction, metrics, reprojection_errors_px,
                        save_reconstruction, triangulate)
-from .network import Reconstruction, forward
+from .network import ModelParams, Reconstruction, forward
 from .scene import (EUCLIDEAN, NormalizationRecord, Scene, SceneError,
                     SceneGenConfig, _is_count, generate_synthetic, load_scene,
                     normalize_euclidean, normalize_hartley, project, save_scene)
@@ -171,9 +171,9 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
     if config_path:
         with open(config_path, "r", encoding="utf-8") as f:
             cfg_dict = json.load(f)
-    cfg = TrainConfig.from_dict(cfg_dict) if config_path else TrainConfig()
+    cfg = TrainConfig.from_dict(cfg_dict)
     if seed is not None:
-        cfg = TrainConfig.from_dict({**cfg.to_dict(), "seed": seed})
+        cfg = replace(cfg, seed=seed)
     scenes = [prepare_scene(load_scene(p))[0] for p in scene_paths]
     vals = [prepare_scene(load_scene(p))[0] for p in val_paths]
     resume = load_checkpoint(resume_path) if resume_path else None
@@ -198,7 +198,7 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
     np.save(out / "loss_history.npy", result.loss_history)
     manifest.outputs.append(str(out / "loss_history.npy"))
     manifest.write(out)
-    if result.aborted:
+    if result.abort_reason is not None:
         click.echo(f"numeric failure at iteration {result.checkpoint.iteration}: "
                    f"{result.abort_reason}; last good state saved", err=True)
         sys.exit(EXIT_NUMERIC)
@@ -216,7 +216,7 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
 def infer(ckpt_path, scene_path, do_triangulate, out_dir):
     """Network forward pass, optionally followed by cheap triangulation."""
     ckpt = load_checkpoint(ckpt_path)
-    params = ckpt.restore_params()
+    params = ModelParams(ckpt.train_config.net, ckpt.params)
     scene, _ = prepare_scene(load_scene(scene_path))
     out = Path(out_dir)
     manifest = _manifest("infer", {"triangulate": do_triangulate,

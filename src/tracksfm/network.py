@@ -176,26 +176,22 @@ def flat_views(buffer: np.ndarray, shapes) -> "OrderedDict[str, np.ndarray]":
 class ModelParams:
     """All learned weights, addressable by canonical name.
 
-    The values live in one contiguous float64 buffer, `flat`, and every
-    parameter's `values` is a view of it, in the order of `tensors`.
-    Without `tensors` the parameters of `cfg` are allocated as zeros in
-    param_shapes order, the checkpoint layout. Given tensors are copied
-    into the buffer and rebound to their views.
+    The values live in one contiguous float64 buffer, `flat`, laid out in
+    param_shapes order (the checkpoint layout), and every parameter's
+    `values` is a view of it. A given `flat` of parameter_count(cfg) values
+    is adopted, not copied; without one the parameters start at zero.
     """
 
-    def __init__(self, cfg: NetConfig, tensors: "OrderedDict[str, Tensor] | None" = None):
+    def __init__(self, cfg: NetConfig, flat: np.ndarray | None = None):
         self.cfg = cfg
-        shapes = param_shapes(cfg) if tensors is None else \
-            OrderedDict((name, t.values.shape) for name, t in tensors.items())
-        self.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-        views = flat_views(self.flat, shapes)
-        if tensors is None:
-            tensors = OrderedDict((name, ad.parameter(v)) for name, v in views.items())
-        else:
-            for name, t in tensors.items():
-                views[name][...] = t.values
-                t.values = views[name]
-        self.tensors = tensors
+        size = parameter_count(cfg)
+        flat = np.zeros(size) if flat is None else flat
+        if flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ValueError(f"expected {size} contiguous float64 parameter values, got "
+                             f"shape {flat.shape} of {flat.dtype}")
+        self.flat = flat
+        self.tensors = OrderedDict((name, ad.parameter(v))
+                                   for name, v in flat_views(flat, param_shapes(cfg)).items())
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]

@@ -5,15 +5,18 @@ and bit-exact checkpointing.
 Every random decision inside the loop draws from a generator derived from
 (seed, iteration), so training is a pure function of (data, config, seed)
 and resuming from a checkpoint reproduces the uninterrupted run exactly.
+The parameters and both Adam moments live in three flat buffers, the ones
+a Checkpoint holds: a resumed run trains in the loaded buffers, and only
+the best-validation checkpoint copies them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import typing
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -167,17 +170,17 @@ ADAM_EPS = 1e-8
 
 class AdamState:
     """Adam moments `m` and `v`, two flat buffers laid out like the
-    ModelParams buffer they serve, the step count `t`, and `buckets`, the
-    (start, stop, names) runs that adam_step updates together."""
+    ModelParams buffer of `cfg` they serve, adopted and not copied, the
+    step count `t`, and `buckets`, the (start, stop, names) runs that
+    adam_step updates together."""
 
-    def __init__(self, shapes, t: int = 0):
-        size = sum(math.prod(shape) for shape in shapes.values())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, cfg: NetConfig, m: np.ndarray, v: np.ndarray, t: int = 0):
+        self.m = m
+        self.v = v
         self.t = t
         self.buckets = []
         start = 0
-        for name, shape in shapes.items():
+        for name, shape in param_shapes(cfg).items():
             stop = start + math.prod(shape)
             if self.buckets and stop - self.buckets[-1][0] <= ADAM_BUCKET:
                 self.buckets[-1][1] = stop
@@ -188,7 +191,7 @@ class AdamState:
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(OrderedDict((k, p.values.shape) for k, p in params.tensors.items()))
+        return cls(params.cfg, np.zeros(params.flat.size), np.zeros(params.flat.size))
 
 
 def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
@@ -362,7 +365,8 @@ _MAGIC = b"TSFMCKP1"
 class Checkpoint:
     """Everything needed to continue training bit-exactly. `params`,
     `adam_m` and `adam_v` are flat buffers in the ModelParams layout of
-    the config's network."""
+    the config's network. A resumed train_loop trains in them and a
+    ModelParams adopts `params`, so neither copies them."""
 
     train_config: TrainConfig
     params: np.ndarray
@@ -373,17 +377,6 @@ class Checkpoint:
     epoch: int
     val_history: list
     best_val: float | None = None
-
-    def restore_params(self) -> ModelParams:
-        params = ModelParams(self.train_config.net)
-        params.flat[...] = self.params
-        return params
-
-    def restore_adam(self) -> AdamState:
-        state = AdamState(param_shapes(self.train_config.net), t=self.adam_t)
-        state.m[...] = self.adam_m
-        state.v[...] = self.adam_v
-        return state
 
 
 # What each checkpoint header field beside the configs must be.
@@ -402,7 +395,9 @@ _HEADER_FIELDS = {
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary container: magic, u64 header length, JSON header, then the
     params, Adam m and Adam v buffers, each written whole as raw
-    little-endian float64."""
+    little-endian float64. The file is written beside `path` under a
+    temporary name and then renamed over it, so a save that fails part
+    way leaves what was at `path` as it was."""
     shapes = param_shapes(ckpt.train_config.net)
     header = {
         "format_version": 1,
@@ -415,12 +410,19 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "params": [[name, list(shape)] for name, shape in shapes.items()],
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for buffer in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
-            f.write(memoryview(np.ascontiguousarray(buffer, dtype="<f8")))
+    tmp = f"{path}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for buffer in (ckpt.params, ckpt.adam_m, ckpt.adam_v):
+                f.write(memoryview(np.ascontiguousarray(buffer, dtype="<f8")))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -469,8 +471,6 @@ class TrainResult:
     checkpoint: Checkpoint
     best: Checkpoint | None
     loss_history: np.ndarray
-    val_history: list
-    aborted: bool = False
     abort_reason: str | None = None
 
 
@@ -516,26 +516,26 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     outliers (the network sees the corrupted scene, the loss targets the
     clean one), forward, backward, global gradient normalization, Adam at
     the scheduled rate. Validation runs every validate_every epochs and the
-    best-validation checkpoint, a copy, is retained (on resume, the
-    checkpoint itself if its last validation is its best). On a numeric
+    best-validation checkpoint, a copy, is retained (on resume, a copy of
+    the checkpoint itself if its last validation is its best). On a numeric
     failure the loop aborts and returns the last good state, which
-    normalization and Adam leave as it was when they raise; the returned
-    checkpoint holds the loop's own buffers.
+    normalization and Adam leave as it was when they raise.
+
+    The returned checkpoint holds the loop's own buffers. On resume those
+    are the three buffers of `resume_from`, which the loop trains in, so
+    the checkpoint passed in is consumed.
     """
     if not scenes:
         raise ValueError("no training scenes")
-    best = None
     if resume_from is not None:
         if resume_from.train_config.net != cfg.net:
             raise ValueError("the checkpoint's network config differs from the train config's")
-        params = resume_from.restore_params()
-        state = resume_from.restore_adam()
+        params = ModelParams(cfg.net, resume_from.params)
+        state = AdamState(cfg.net, resume_from.adam_m, resume_from.adam_v, resume_from.adam_t)
         iteration = resume_from.iteration
         start_epoch = resume_from.epoch
         val_history = list(resume_from.val_history)
         best_val = resume_from.best_val
-        if val_history and val_history[-1] == (start_epoch, best_val):
-            best = replace(resume_from, train_config=cfg)
     else:
         params = init_params(cfg.net, cfg.seed)
         state = AdamState.zeros(params)
@@ -545,6 +545,15 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         best_val = None
     losses = []
 
+    def snapshot(epoch: int, copy: bool = False) -> Checkpoint:
+        buffers = (params.flat, state.m, state.v)
+        if copy:
+            buffers = [buffer.copy() for buffer in buffers]
+        return Checkpoint(cfg, *buffers, state.t, iteration, epoch, list(val_history), best_val)
+
+    best = None
+    if val_history and val_history[-1] == (start_epoch, best_val):
+        best = snapshot(start_epoch, copy=True)
     for epoch in range(start_epoch, cfg.epochs):
         for scene in scenes:
             rng = _iteration_rng(cfg.seed, iteration)
@@ -565,12 +574,7 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
                 normalize_param_grads(params)
                 adam_step(params, state, lr_at(iteration, cfg))
             except NumericError as e:
-                ckpt = Checkpoint(cfg, params.flat, state.m, state.v, state.t, iteration, epoch,
-                                  val_history, best_val)
-                return TrainResult(checkpoint=ckpt, best=best,
-                                   loss_history=np.asarray(losses),
-                                   val_history=val_history,
-                                   aborted=True, abort_reason=str(e))
+                return TrainResult(snapshot(epoch), best, np.asarray(losses), str(e))
             losses.append(report.mean_reprojection)
             if iteration_callback is not None:
                 iteration_callback(iteration=iteration, net_input=net_input,
@@ -581,10 +585,6 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
             val_history.append((epoch + 1, val))
             if best_val is None or val < best_val:
                 best_val = val
-                best = Checkpoint(cfg, params.flat.copy(), state.m.copy(), state.v.copy(),
-                                  state.t, iteration, epoch + 1, list(val_history), best_val)
+                best = snapshot(epoch + 1, copy=True)
 
-    final = Checkpoint(cfg, params.flat, state.m, state.v, state.t, iteration,
-                       max(start_epoch, cfg.epochs), val_history, best_val)
-    return TrainResult(checkpoint=final, best=best,
-                       loss_history=np.asarray(losses), val_history=val_history)
+    return TrainResult(snapshot(max(start_epoch, cfg.epochs)), best, np.asarray(losses))

@@ -41,8 +41,7 @@ def make_gat_params(d1, seed=0, prefix="gat"):
         f"{prefix}.att.w": ad.parameter(rng.normal(size=(2 * d1, da)) / np.sqrt(2 * d1)),
         f"{prefix}.att.a": ad.parameter(rng.normal(size=(da,))),
     }
-    params = ModelParams(TINY, tensors)
-    return params.view(prefix)
+    return network._ParamView(tensors, prefix)
 
 
 def attend(src, tgt, edge_tgt, n_tgt, pv):
@@ -148,14 +147,19 @@ class TestParameterArena:
                                        size=shape)
             np.testing.assert_array_equal(params[name].values, expected)
 
-    def test_given_tensors_are_copied_and_rebound(self, rng):
-        values = {"x": rng.normal(size=(2, 3)), "y": rng.normal(size=(4,))}
-        tensors = {k: ad.parameter(v.copy()) for k, v in values.items()}
-        params = ModelParams(TINY, tensors)
-        np.testing.assert_array_equal(params.flat, np.concatenate(
-            [values["x"].ravel(), values["y"]]))
-        assert params["x"] is tensors["x"]
-        assert np.shares_memory(params["y"].values, params.flat)
+    def test_given_buffer_is_adopted(self, rng):
+        """A given buffer becomes `flat` itself, not a copy, so writes to
+        a parameter land in it; a buffer of another size or dtype, or a
+        strided one, is rejected."""
+        flat = rng.normal(size=parameter_count(TINY))
+        params = ModelParams(TINY, flat)
+        assert params.flat is flat
+        np.testing.assert_array_equal(params["embed.w"].values.ravel(), flat[:4])
+        params["point_head.l2.b"].values[...] = 7.0
+        np.testing.assert_array_equal(flat[-3:], 7.0)
+        for bad in (flat[:-1], flat.astype(np.float32), np.repeat(flat, 2)[::2]):
+            with pytest.raises(ValueError, match="contiguous float64 parameter values"):
+                ModelParams(TINY, bad)
 
 
 def composed_attention(src, tgt, w, a, edge_tgt, n_tgt, heads, slope):
@@ -292,7 +296,7 @@ class TestGraphCrossAttention:
             else:
                 values = rng.normal(size=shape) / np.sqrt(shape[0])
             tensors[name] = ad.parameter(values)
-        return ModelParams(TINY, tensors).view("g")
+        return network._ParamView(tensors, "g")
 
     def test_absent_targets_equal_zero_queries(self, rng):
         """With d1 == d2 and no previous targets, the wrapper reduces to

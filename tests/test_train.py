@@ -1,21 +1,25 @@
+import errno
 import json
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracksfm import autodiff as ad
+from tracksfm import cli, network
 from tracksfm import train as train_mod
 from tracksfm.autodiff import NumericError
-from tracksfm.network import ModelParams, NetConfig, init_params, param_shapes, parameter_count
+from tracksfm.network import ModelParams, NetConfig, init_params, parameter_count
 from tracksfm.objective import loss
 from tracksfm.rotations import axis_angle_to_matrix, quat_to_matrix
-from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic
+from tracksfm.scene import Scene, SceneError, SceneGenConfig, generate_synthetic, save_scene
 from tracksfm.train import (
     AdamState,
     AugmentConfig,
@@ -35,16 +39,18 @@ from tracksfm.train import (
 from conftest import augment_draws, make_scene, gt_reconstruction
 
 TINY_NET = NetConfig(layers=1, d_p=8, d_v=16, d_s=8, d_g=16)
+SCALAR_NET = NetConfig(layers=1, d_p=4, d_v=4, d_s=4, d_g=4)
 
 
 def scalar_params(value):
-    cfg = TINY_NET
-    params = ModelParams(cfg, {"theta": ad.parameter(np.array([value]))})
-    return params
+    """A small net's parameters, all at `value`: under one gradient value
+    for every element, each element is the same scalar under Adam."""
+    return ModelParams(SCALAR_NET, np.full(parameter_count(SCALAR_NET), value))
 
 
 def step_theta(params, state, grad, lr):
-    params["theta"].grad = np.array([grad])
+    for p in params.tensors.values():
+        p.grad = np.full(p.shape, grad)
     adam_step(params, state, lr=lr)
 
 
@@ -59,10 +65,10 @@ class TestAdam:
         -lr * g / (|g| + eps'), i.e. -lr * sign(g) up to epsilon."""
         params = scalar_params(1.0)
         step_theta(params, AdamState.zeros(params), 0.3, lr=0.01)
-        np.testing.assert_allclose(params["theta"].values, 1.0 - 0.01, atol=1e-8)
+        np.testing.assert_allclose(params.flat, 1.0 - 0.01, atol=1e-8)
         params2 = scalar_params(1.0)
         step_theta(params2, AdamState.zeros(params2), -7.0, lr=0.01)
-        np.testing.assert_allclose(params2["theta"].values, 1.0 + 0.01, atol=1e-8)
+        np.testing.assert_allclose(params2.flat, 1.0 + 0.01, atol=1e-8)
 
     def test_quadratic_convergence(self):
         """f(theta) = theta^2 from 1.0 falls below 1e-6 within 2000 steps
@@ -70,8 +76,8 @@ class TestAdam:
         params = scalar_params(1.0)
         state = AdamState.zeros(params)
         for _ in range(2000):
-            step_theta(params, state, 2.0 * params["theta"].values.item(), lr=1e-2)
-        assert abs(params["theta"].values.item()) ** 2 < 1e-6
+            step_theta(params, state, 2.0 * params.flat[0], lr=1e-2)
+        assert np.all(params.flat ** 2 < 1e-6)
 
     def test_zero_grad_keeps_params_decays_moments(self):
         """From zero moments a zero gradient is a no-op; from nonzero
@@ -79,7 +85,7 @@ class TestAdam:
         params = scalar_params(2.0)
         state = AdamState.zeros(params)
         step_theta(params, state, 0.0, lr=1e-3)
-        np.testing.assert_allclose(params["theta"].values, 2.0, atol=1e-15)
+        np.testing.assert_allclose(params.flat, 2.0, atol=1e-15)
         step_theta(params, state, 4.0, lr=0.0)
         m_before = state.m.copy()
         v_before = state.v.copy()
@@ -332,25 +338,47 @@ class TestTrainLoop:
         for buffer in ("params", "adam_m", "adam_v"):
             np.testing.assert_array_equal(getattr(back, buffer), getattr(res.checkpoint, buffer))
 
-    def test_restore_draws_no_init(self, monkeypatch):
-        """Restoring builds the parameters from the stored buffers alone."""
-        scene, _, _ = make_scene(num_views=4, num_points=12, seed=9)
-        ckpt = train_loop([scene], [], tiny_train_cfg(epochs=1)).checkpoint
+    def test_restore_draws_no_init(self, monkeypatch, tmp_path):
+        """Resume and `infer` run over the loaded buffers themselves: they
+        draw no init and copy nothing."""
+        scene, raw, _ = make_scene(num_views=4, num_points=12, seed=9)
+        ckpt_path, scene_path = tmp_path / "c.bin", tmp_path / "scene.json"
+        save_checkpoint(train_loop([scene], [], tiny_train_cfg(epochs=1)).checkpoint, ckpt_path)
+        save_scene(raw, scene_path)
 
         def no_init(*args, **kwargs):
             raise AssertionError("init_params called on restore")
-        monkeypatch.setattr(train_mod, "init_params", no_init)
-        params = ckpt.restore_params()
-        assert list(params.tensors) == list(param_shapes(TINY_NET))
-        np.testing.assert_array_equal(params.flat, ckpt.params)
-        assert not np.shares_memory(params.flat, ckpt.params)
+        for module in (train_mod, network):
+            monkeypatch.setattr(module, "init_params", no_init)
+        loaded = load_checkpoint(ckpt_path)
+        res = train_loop([scene], [], tiny_train_cfg(epochs=2), resume_from=loaded)
+        assert res.checkpoint.iteration == 2
+        for buffer in ("params", "adam_m", "adam_v"):
+            assert getattr(res.checkpoint, buffer) is getattr(loaded, buffer)
+
+        loads, runs = [], []
+
+        def spy_load(path):
+            loads.append(load_checkpoint(path))
+            return loads[-1]
+
+        def spy_forward(scene, params):
+            runs.append(params)
+            return network.forward(scene, params)
+        monkeypatch.setattr(cli, "load_checkpoint", spy_load)
+        monkeypatch.setattr(cli, "forward", spy_forward)
+        result = CliRunner().invoke(cli.main, [
+            "infer", "--checkpoint", str(ckpt_path), "--scene", str(scene_path),
+            "--out", str(tmp_path / "inf")], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+        assert len(runs) == 1 and runs[0].flat is loads[0].params
 
     def test_validation_tracks_best(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=10)
         res = train_loop([scene], [scene], tiny_train_cfg(epochs=10))
-        assert len(res.val_history) == 2
+        assert len(res.checkpoint.val_history) == 2
         assert res.best is not None
-        assert res.best.best_val == min(v for _, v in res.val_history)
+        assert res.best.best_val == min(v for _, v in res.checkpoint.val_history)
 
     def test_aborts_on_numeric_failure(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=11)
@@ -359,7 +387,6 @@ class TestTrainLoop:
         poisoned = good.checkpoint
         poisoned.params[0] = np.nan                      # embed.w[0, 0]
         res = train_loop([scene], [], cfg, resume_from=poisoned)
-        assert res.aborted
         assert res.abort_reason
 
     def test_resume_keeps_best(self, tmp_path):
@@ -392,6 +419,23 @@ class TestTrainLoop:
         tracemalloc.start()
         try:
             train_loop([scene], [], cfg)
+            peak = tracemalloc.get_traced_memory()[1] / (8 * size)
+        finally:
+            tracemalloc.stop()
+        assert peak < 6, peak
+
+    def test_peak_memory_of_load_and_resume(self, tmp_path):
+        """Resume trains in the buffers load_checkpoint returns: loading a
+        checkpoint of the 880,884-parameter net above and training one
+        more epoch also peaks below 6 parameter buffers."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=12)
+        cfg = TrainConfig(net=NetConfig(layers=1, d_p=16, d_v=256, d_s=64, d_g=512), epochs=1)
+        size = parameter_count(cfg.net)
+        path = tmp_path / "c.bin"
+        save_checkpoint(train_loop([scene], [], cfg).checkpoint, path)
+        tracemalloc.start()
+        try:
+            train_loop([scene], [], replace(cfg, epochs=2), resume_from=load_checkpoint(path))
             peak = tracemalloc.get_traced_memory()[1] / (8 * size)
         finally:
             tracemalloc.stop()
@@ -484,6 +528,38 @@ class TestCheckpointFile:
     def test_truncated(self, tmp_path, ckpt_bytes, keep):
         with pytest.raises(ValueError, match="truncated"):
             self.load_bytes(tmp_path, ckpt_bytes[:keep])
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, ckpt_bytes, monkeypatch):
+        """A save that fails part way, as on a full disk, leaves the
+        checkpoint already at its path byte for byte and no temporary file
+        beside it."""
+        path = tmp_path / "c.bin"
+        ckpt = load_checkpoint(path)
+        real_open = open
+
+        class FullDisk:
+            """A file that fails every write once it holds over 100 bytes."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if self.f.tell() > 100:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(train_mod, "open", lambda *args: FullDisk(real_open(*args)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(ckpt, path)
+        assert path.read_bytes() == ckpt_bytes
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
     def test_trailing_bytes(self, tmp_path, ckpt_bytes):
         with pytest.raises(ValueError, match="trailing"):
