@@ -184,17 +184,19 @@ def train(config_path, scene_paths, val_paths, resume_path, seed, out_dir):
                          list(scene_paths) + list(val_paths) +
                          ([config_path] if config_path else []) +
                          ([resume_path] if resume_path else []))
+    best_path = str(out / "best.bin")
+
+    def save_best(checkpoint):
+        save_checkpoint(checkpoint, best_path)
+        if best_path not in manifest.outputs:
+            manifest.outputs.append(best_path)
     t0 = time.perf_counter()
-    result = train_loop(scenes, vals, cfg, resume_from=resume)
+    result = train_loop(scenes, vals, cfg, resume_from=resume, on_best=save_best)
     manifest.timings["train"] = time.perf_counter() - t0
 
     final_path = out / "checkpoint.bin"
     save_checkpoint(result.checkpoint, final_path)
     manifest.outputs.append(str(final_path))
-    if result.best is not None:
-        best_path = out / "best.bin"
-        save_checkpoint(result.best, best_path)
-        manifest.outputs.append(str(best_path))
     np.save(out / "loss_history.npy", result.loss_history)
     manifest.outputs.append(str(out / "loss_history.npy"))
     manifest.write(out)

@@ -6,8 +6,9 @@ Every random decision inside the loop draws from a generator derived from
 (seed, iteration), so training is a pure function of (data, config, seed)
 and resuming from a checkpoint reproduces the uninterrupted run exactly.
 The parameters and both Adam moments live in three flat buffers, the ones
-a Checkpoint holds: a resumed run trains in the loaded buffers, and only
-the best-validation checkpoint copies them.
+a Checkpoint holds: a resumed run trains in the loaded buffers, and each
+best-validation checkpoint is handed to a callback over those buffers as
+it is found, so training copies none of them.
 """
 
 from __future__ import annotations
@@ -468,8 +469,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class TrainResult:
+    """What train_loop returns: the checkpoint over the loop's own buffers
+    where the run ended, the loss of each iteration it ran, and why it
+    aborted (None when it did not)."""
+
     checkpoint: Checkpoint
-    best: Checkpoint | None
     loss_history: np.ndarray
     abort_reason: str | None = None
 
@@ -508,18 +512,23 @@ def validation_error(scenes, params: ModelParams) -> float:
 
 def train_loop(scenes, val_scenes, cfg: TrainConfig,
                resume_from: Checkpoint | None = None,
-               iteration_callback=None) -> TrainResult:
-    """Run the full schedule over the training scenes.
+               iteration_callback=None, on_best=None) -> TrainResult:
+    """Run the full schedule over the training scenes, which, like the
+    validation scenes, must be in the network's mode.
 
     One epoch samples one subsequence per training scene, in list order.
     Per iteration: subsample views, optionally augment, optionally inject
     outliers (the network sees the corrupted scene, the loss targets the
     clean one), forward, backward, global gradient normalization, Adam at
-    the scheduled rate. Validation runs every validate_every epochs and the
-    best-validation checkpoint, a copy, is retained (on resume, a copy of
-    the checkpoint itself if its last validation is its best). On a numeric
-    failure the loop aborts and returns the last good state, which
-    normalization and Adam leave as it was when they raise.
+    the scheduled rate. Validation runs every validate_every epochs. Each
+    time it improves on the best, on_best(checkpoint) gets a checkpoint
+    over the live buffers, which the next step overwrites, so a caller
+    that keeps it saves or copies it in the call (on resume, also once at
+    the start if the checkpoint's last validation is its best). On a
+    numeric failure the loop aborts and returns the last good state: the
+    state before a failed step, which normalization and Adam leave as it
+    was when they raise, or after the epoch of a failed validation, which
+    is not recorded.
 
     The returned checkpoint holds the loop's own buffers. On resume those
     are the three buffers of `resume_from`, which the loop trains in, so
@@ -527,6 +536,9 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     """
     if not scenes:
         raise ValueError("no training scenes")
+    for scene in (*scenes, *val_scenes):
+        if scene.mode != cfg.net.mode:
+            raise ValueError(f"scene mode {scene.mode!r} != model mode {cfg.net.mode!r}")
     if resume_from is not None:
         if resume_from.train_config.net != cfg.net:
             raise ValueError("the checkpoint's network config differs from the train config's")
@@ -545,15 +557,12 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         best_val = None
     losses = []
 
-    def snapshot(epoch: int, copy: bool = False) -> Checkpoint:
-        buffers = (params.flat, state.m, state.v)
-        if copy:
-            buffers = [buffer.copy() for buffer in buffers]
-        return Checkpoint(cfg, *buffers, state.t, iteration, epoch, list(val_history), best_val)
+    def snapshot(epoch: int) -> Checkpoint:
+        return Checkpoint(cfg, params.flat, state.m, state.v, state.t, iteration, epoch,
+                          list(val_history), best_val)
 
-    best = None
-    if val_history and val_history[-1] == (start_epoch, best_val):
-        best = snapshot(start_epoch, copy=True)
+    if on_best is not None and val_history and val_history[-1] == (start_epoch, best_val):
+        on_best(snapshot(start_epoch))
     for epoch in range(start_epoch, cfg.epochs):
         for scene in scenes:
             rng = _iteration_rng(cfg.seed, iteration)
@@ -574,17 +583,21 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
                 normalize_param_grads(params)
                 adam_step(params, state, lr_at(iteration, cfg))
             except NumericError as e:
-                return TrainResult(snapshot(epoch), best, np.asarray(losses), str(e))
+                return TrainResult(snapshot(epoch), np.asarray(losses), str(e))
             losses.append(report.mean_reprojection)
             if iteration_callback is not None:
                 iteration_callback(iteration=iteration, net_input=net_input,
                                    target=target, report=report)
             iteration += 1
         if val_scenes and (epoch + 1) % cfg.validate_every == 0:
-            val = validation_error(val_scenes, params)
+            try:
+                val = validation_error(val_scenes, params)
+            except NumericError as e:
+                return TrainResult(snapshot(epoch + 1), np.asarray(losses), str(e))
             val_history.append((epoch + 1, val))
             if best_val is None or val < best_val:
                 best_val = val
-                best = snapshot(epoch + 1, copy=True)
+                if on_best is not None:
+                    on_best(snapshot(epoch + 1))
 
-    return TrainResult(snapshot(max(start_epoch, cfg.epochs)), best, np.asarray(losses))
+    return TrainResult(snapshot(max(start_epoch, cfg.epochs)), np.asarray(losses))

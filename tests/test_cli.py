@@ -539,6 +539,24 @@ class TestExitCodes:
                                       "--out", str(tmp_path / "o")])
         assert result.exit_code == 3
 
+    def test_numeric_failure_in_validation_is_3(self, runner, tmp_path):
+        """A validation scene that overflows the network ends training like
+        a failed step: the state after that epoch is saved, and the exit
+        code is 3."""
+        scene_path = synth_scene(runner, tmp_path)
+        scene = load_scene(scene_path)
+        bad_path = tmp_path / "bad.json"
+        save_scene(replace(scene, xy=scene.xy * 1e300), bad_path)
+        out = tmp_path / "run"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = runner.invoke(main, ["train", "--config", str(tiny_train_config(tmp_path)),
+                                          "--scene", str(scene_path), "--val", str(bad_path),
+                                          "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        ckpt = load_checkpoint(out / "checkpoint.bin")
+        assert (ckpt.epoch, ckpt.iteration, ckpt.val_history) == (2, 2, [])
+        assert not (out / "best.bin").exists()
+
     def test_ba_nonconvergence_is_4(self, runner, tmp_path):
         """A reconstruction with a point sitting on a camera center makes
         the starting objective non-finite."""

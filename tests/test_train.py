@@ -375,10 +375,27 @@ class TestTrainLoop:
 
     def test_validation_tracks_best(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=10)
-        res = train_loop([scene], [scene], tiny_train_cfg(epochs=10))
-        assert len(res.checkpoint.val_history) == 2
-        assert res.best is not None
-        assert res.best.best_val == min(v for _, v in res.checkpoint.val_history)
+        bests = []
+        res = train_loop([scene], [scene], tiny_train_cfg(epochs=10),
+                         on_best=lambda ckpt: bests.append((ckpt.epoch, ckpt.best_val)))
+        history = res.checkpoint.val_history
+        assert len(history) == 2
+        assert bests and bests[-1][1] == min(v for _, v in history)
+        assert all(best in history for best in bests)
+
+    @pytest.mark.parametrize("projective_val", [True, False], ids=["validation", "training"])
+    def test_scene_modes_are_checked_before_training(self, projective_val):
+        """A training or validation scene in another mode than the
+        network is rejected before the first iteration, not at its first
+        use."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=13)
+        other, _, _ = make_scene(num_views=4, num_points=12, seed=13, mode="projective")
+        scenes, vals = ([scene], [other]) if projective_val else ([other], [scene])
+        iterations = []
+        with pytest.raises(ValueError, match="scene mode 'projective' != model mode"):
+            train_loop(scenes, vals, TrainConfig(net=TINY_NET, epochs=2, validate_every=1),
+                       iteration_callback=lambda iteration, **_: iterations.append(iteration))
+        assert not iterations
 
     def test_aborts_on_numeric_failure(self):
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=11)
@@ -389,29 +406,50 @@ class TestTrainLoop:
         res = train_loop([scene], [], cfg, resume_from=poisoned)
         assert res.abort_reason
 
+    def test_aborts_on_numeric_failure_in_validation(self):
+        """A validation that overflows aborts the run like a failed step:
+        the loop returns the state after that epoch's steps, with the
+        failed validation unrecorded."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=11)
+        bad = replace(scene, xy=scene.xy * 1e300)
+        cfg = TrainConfig(net=TINY_NET, epochs=4, validate_every=2)
+        bests = []
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            res = train_loop([scene], [bad], cfg, on_best=bests.append)
+        ckpt = res.checkpoint
+        assert res.abort_reason and not bests
+        assert (ckpt.epoch, ckpt.iteration, ckpt.val_history, ckpt.best_val) == (2, 2, [], None)
+        np.testing.assert_array_equal(res.loss_history, train_loop(
+            [scene], [], replace(cfg, epochs=2)).loss_history)
+
     def test_resume_keeps_best(self, tmp_path):
         """Resuming from a checkpoint whose last validation is its best
-        returns that checkpoint as the best when no later validation beats
+        hands that checkpoint to on_best when no later validation beats
         it, with the bytes of the uninterrupted run's best."""
         a, b, val = (make_scene(num_views=12, num_points=60, visibility=0.8, seed=s)[0]
                      for s in (1, 2, 3))
         cfgs = [TrainConfig(net=TINY_NET, epochs=epochs, validate_every=2, base_lr=1e-3,
                             warmup_iters=0) for epochs in (6, 4)]
-        full = train_loop([a, b], [val], cfgs[0])
-        assert full.best.epoch == 4 < full.checkpoint.epoch
+        best_epochs = {"full": [], "resumed": []}
+
+        def save_best(name):
+            def on_best(checkpoint):
+                best_epochs[name].append(checkpoint.epoch)
+                save_checkpoint(checkpoint, tmp_path / f"{name}.bin")
+            return on_best
+
+        full = train_loop([a, b], [val], cfgs[0], on_best=save_best("full"))
+        assert best_epochs["full"][-1] == 4 < full.checkpoint.epoch
         save_checkpoint(train_loop([a, b], [val], cfgs[1]).checkpoint, tmp_path / "half.bin")
-        resumed = train_loop([a, b], [val], cfgs[0],
-                             resume_from=load_checkpoint(tmp_path / "half.bin"))
-        assert resumed.best is not None
-        for name, result in (("full", full), ("resumed", resumed)):
-            save_checkpoint(result.best, tmp_path / f"{name}.bin")
+        train_loop([a, b], [val], cfgs[0], resume_from=load_checkpoint(tmp_path / "half.bin"),
+                   on_best=save_best("resumed"))
+        assert best_epochs["resumed"] == [4]
         assert (tmp_path / "full.bin").read_bytes() == (tmp_path / "resumed.bin").read_bytes()
 
     def test_peak_memory_of_one_epoch(self):
-        """Only the best-validation checkpoint copies the buffers: the final
-        one holds the loop's own, so one epoch on an 880,884-parameter net
-        peaks below 6 parameter buffers (parameters, gradients, the two
-        moments, plus activations)."""
+        """The final checkpoint holds the loop's own buffers, so one epoch
+        on an 880,884-parameter net peaks below 6 parameter buffers
+        (parameters, gradients, the two moments, plus activations)."""
         scene, _, _ = make_scene(num_views=4, num_points=12, seed=12)
         cfg = TrainConfig(net=NetConfig(layers=1, d_p=16, d_v=256, d_s=64, d_g=512), epochs=1)
         size = parameter_count(cfg.net)
@@ -423,6 +461,24 @@ class TestTrainLoop:
         finally:
             tracemalloc.stop()
         assert peak < 6, peak
+
+    def test_peak_memory_with_validation(self, tmp_path):
+        """on_best gets the live buffers, not a copy: one validated epoch
+        of the 880,884-parameter net above, saving its best, also peaks
+        below 6 parameter buffers."""
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=12)
+        cfg = TrainConfig(net=NetConfig(layers=1, d_p=16, d_v=256, d_s=64, d_g=512), epochs=1,
+                          validate_every=1)
+        size = parameter_count(cfg.net)
+        path = tmp_path / "best.bin"
+        tracemalloc.start()
+        try:
+            train_loop([scene], [scene], cfg, on_best=lambda ckpt: save_checkpoint(ckpt, path))
+            peak = tracemalloc.get_traced_memory()[1] / (8 * size)
+        finally:
+            tracemalloc.stop()
+        assert peak < 6, peak
+        assert load_checkpoint(path).epoch == 1
 
     def test_peak_memory_of_load_and_resume(self, tmp_path):
         """Resume trains in the buffers load_checkpoint returns: loading a
