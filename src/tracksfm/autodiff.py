@@ -4,7 +4,8 @@ A Tensor wraps an ndarray and remembers the parents and local adjoint rule
 of the operation that produced it. backward() lists the graph below a
 scalar root in topological order (every operation's inputs precede it),
 then sweeps that list once in reverse, accumulating adjoints into every
-requires_grad leaf.
+requires_grad leaf: into its `grad_buffer` if it has one (a ModelParams
+parameter's view of `ModelParams.grad`), else into a new array.
 
 The primitive set is what the attention network and loss compose: add,
 mul and div (also as the operators +, -, *, / and unary -, with the tensor
@@ -65,12 +66,14 @@ class Tensor:
     Tensors without grad are immutable by convention and safe to share.
     """
 
-    __slots__ = ("values", "requires_grad", "grad", "_parents", "_vjp", "_needs", "_done")
+    __slots__ = ("values", "requires_grad", "grad", "grad_buffer", "_parents", "_vjp",
+                 "_needs", "_done")
 
     def __init__(self, values, requires_grad: bool = False, _parents=(), _vjp=None):
         self.values = _as_array(values)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
         self._parents = _parents
         self._vjp = _vjp
         self._needs = requires_grad or any(p._needs for p in _parents)
@@ -83,14 +86,22 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
+    def _first_grad(self) -> bool:
+        """If .grad is None, make it grad_buffer (or a new array) to write."""
+        if self.grad is not None:
+            return False
+        self.grad = np.empty(self.values.shape) if self.grad_buffer is None else self.grad_buffer
+        return True
+
     def _add_grad(self, g: np.ndarray, owned: bool = False) -> None:
-        """Accumulate an adjoint. `owned` marks an array the caller has just
-        allocated and holds no other reference to; it becomes the buffer
-        without a copy. Anything else (the output adjoint passed through,
-        or a view of it) is copied, so no two tensors share a buffer. Every
-        vjp passes an adjoint of exactly this tensor's shape."""
-        if self.grad is None:
-            self.grad = g if owned else g.copy()
+        """Accumulate an adjoint. `owned` marks a new array the caller holds
+        no other reference to; it becomes .grad uncopied if there is no
+        grad_buffer. Anything else is copied, so no two tensors share a
+        buffer. Every vjp passes an adjoint of exactly this tensor's shape."""
+        if owned and self.grad is None and self.grad_buffer is None:
+            self.grad = g
+        elif self._first_grad():
+            np.copyto(self.grad, g)
         else:
             self.grad += g
 
@@ -152,8 +163,8 @@ def backward(root: Tensor, params=None) -> None:
             node.grad = None   # interior adjoints are per-pass scratch
     if params is not None:
         for p in params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.values)
+            if p._first_grad():
+                p.grad.fill(0.0)
 
 
 def zero_grads(params) -> None:
@@ -274,9 +285,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a._needs:
             a._add_grad(g @ b.values.T, owned=True)
         if b._needs:
-            b._add_grad(a.values.T @ g, owned=True)
+            first = b._first_grad()
+            _add_product(b.grad, a.values.T, g, first)
     out._vjp = vjp
     return out
+
+
+def _add_product(out: np.ndarray, x: np.ndarray, y: np.ndarray, first: bool) -> None:
+    """out = x @ y in place if `first`, else out += x @ y."""
+    if first:
+        np.matmul(x, y, out=out)
+    else:
+        out += x @ y
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -308,8 +328,8 @@ def narrow(t: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = Tensor(t.values[idx], _parents=(t,))
 
     def vjp(g):
-        if t.grad is None:
-            t.grad = np.zeros_like(t.values)
+        if t._first_grad():
+            t.grad.fill(0.0)
         t.grad[idx] += g
     out._vjp = vjp
     return out
@@ -393,9 +413,11 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
     The forward and the vjp repeat, operation for operation, the
     narrow/matmul/gather/add/leaky_relu/reshape/mul/tsum/segment_softmax/
     segment_sum composition (tests/oracles.py::gatv2_oracle), so values and
-    gradients are bit-identical to it. The parents are listed (tgt, src, w,
-    a) so that the tape visits the inputs in the composition's order, and
-    adjoints reach nodes with several consumers in the same order.
+    gradients are bit-identical to it (but for the sign of a zero in w's
+    adjoint, written where the composition adds to zeros). The parents are
+    listed (tgt, src, w, a) so that the tape visits the inputs in the
+    composition's order, and adjoints reach nodes with several consumers in
+    the same order.
     """
     d1 = src.shape[1]
     if tgt.shape[1] != d1:
@@ -423,6 +445,7 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
                  _parents=(tgt, src, w, a))
 
     def vjp(g):
+        first_w = w._needs and w._first_grad()
         g3 = g[index].reshape(-1, heads, hd)
         g_alpha = _unbroadcast(g3 * msg, alpha3.shape).reshape(alpha.shape)
         g_scores = _softmax_vjp(g_alpha, alpha, index, n_tgt)
@@ -436,15 +459,13 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
             if tgt._needs:
                 tgt._add_grad(g_t @ w_tgt.T, owned=True)
             if w._needs:
-                if w.grad is None:
-                    w.grad = np.zeros_like(w.values)
-                w.grad[:d1] += tgt.values.T @ g_t
+                _add_product(w.grad[:d1], tgt.values.T, g_t, first_w)
         if src._needs or w._needs:
             g_s = (g3 * alpha3).reshape(-1, da) + g_pre
             if src._needs:
                 src._add_grad(g_s @ w_src.T, owned=True)
             if w._needs:
-                w.grad[d1:] += src.values.T @ g_s
+                _add_product(w.grad[d1:], src.values.T, g_s, first_w)
     out._vjp = vjp
     return out, alpha
 
@@ -525,8 +546,10 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def parameter(values) -> Tensor:
-    return Tensor(values, requires_grad=True)
+def parameter(values, grad_buffer: np.ndarray | None = None) -> Tensor:
+    t = Tensor(values, requires_grad=True)
+    t.grad_buffer = grad_buffer
+    return t
 
 
 # -- finite-difference oracle ---------------------------------------------

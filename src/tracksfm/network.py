@@ -180,6 +180,8 @@ class ModelParams:
     param_shapes order (the checkpoint layout), and every parameter's
     `values` is a view of it. A given `flat` of parameter_count(cfg) values
     is adopted, not copied; without one the parameters start at zero.
+    `grad`, laid out the same, holds each parameter's `grad_buffer`; made
+    with np.zeros, it holds no resident pages until backward writes them.
     """
 
     def __init__(self, cfg: NetConfig, flat: np.ndarray | None = None):
@@ -190,7 +192,9 @@ class ModelParams:
             raise ValueError(f"expected {size} contiguous float64 parameter values, got "
                              f"shape {flat.shape} of {flat.dtype}")
         self.flat = flat
-        self.tensors = OrderedDict((name, ad.parameter(v))
+        self.grad = np.zeros(size)
+        grads = flat_views(self.grad, param_shapes(cfg))
+        self.tensors = OrderedDict((name, ad.parameter(v, grads[name]))
                                    for name, v in flat_views(flat, param_shapes(cfg)).items())
 
     def __getitem__(self, name: str) -> Tensor:

@@ -5,10 +5,10 @@ and bit-exact checkpointing.
 Every random decision inside the loop draws from a generator derived from
 (seed, iteration), so training is a pure function of (data, config, seed)
 and resuming from a checkpoint reproduces the uninterrupted run exactly.
-The parameters and both Adam moments live in three flat buffers, the ones
-a Checkpoint holds: a resumed run trains in the loaded buffers, and each
-best-validation checkpoint is handed to a callback over those buffers as
-it is found, so training copies none of them.
+Parameters, gradients and both Adam moments live in four flat buffers,
+all but the gradients held by a Checkpoint: a resumed run trains in the
+loaded buffers, and each best-validation checkpoint is handed to a
+callback over those buffers as it is found, so training copies none.
 """
 
 from __future__ import annotations
@@ -154,73 +154,58 @@ def lr_at(iteration: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * cfg.decay_factor ** (-(iteration - cfg.warmup_iters) / cfg.decay_every)
 
 
-# Adam updates runs of consecutive parameters together, packing their
-# gradients into one scratch buffer of at most this many values; a larger
-# tensor is updated on its own, from its gradient as it stands. The bound
-# keeps the scratch memory at one bucket or the largest tensor, whatever
-# the model size. Of 2**12 to 2**18, 2**13 was fastest on the overfit model
-# (137,800 values: 1.43 ms per step against 1.84 ms at 2**15 and 2.55 ms
-# at 2**18, one BLAS thread): the six 64 KB arrays a bucket touches stay in
-# cache across the fourteen elementwise passes of the update.
-ADAM_BUCKET = 2**13
+# Adam scans and updates the four flat buffers in chunks of this many
+# values, so its scratch memory is a few chunks whatever the model size.
+# 2**15 beat 2**13 at both sizes (one BLAS thread): 0.95-0.98 against
+# 1.01-1.07 ms per step on the overfit model (137,800 values), and
+# 1.33-1.38 against 1.39-1.53 s at full scale (145,176,240 values).
+ADAM_BUCKET = 2**15
 # Adam's moment decay rates and denominator offset (Kingma & Ba, ICLR 2015).
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+@dataclass(eq=False)
 class AdamState:
     """Adam moments `m` and `v`, two flat buffers laid out like the
-    ModelParams buffer of `cfg` they serve, adopted and not copied, the
-    step count `t`, and `buckets`, the (start, stop, names) runs that
-    adam_step updates together."""
+    ModelParams.flat they serve, adopted and not copied, and the step
+    count `t`."""
 
-    def __init__(self, cfg: NetConfig, m: np.ndarray, v: np.ndarray, t: int = 0):
-        self.m = m
-        self.v = v
-        self.t = t
-        self.buckets = []
-        start = 0
-        for name, shape in param_shapes(cfg).items():
-            stop = start + math.prod(shape)
-            if self.buckets and stop - self.buckets[-1][0] <= ADAM_BUCKET:
-                self.buckets[-1][1] = stop
-                self.buckets[-1][2].append(name)
-            else:
-                self.buckets.append([start, stop, [name]])
-            start = stop
+    m: np.ndarray
+    v: np.ndarray
+    t: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(params.cfg, np.zeros(params.flat.size), np.zeros(params.flat.size))
+        return cls(np.zeros(params.flat.size), np.zeros(params.flat.size))
 
 
 def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
     """Standard Adam update with bias correction, in place on the params,
-    from each parameter's `.grad`. A missing or non-finite gradient, or a
-    state of another size, is rejected before anything changes. The update
-    runs over the flat buffers bucket by bucket, with the per-element
-    expression order of the per-tensor update, so its result is
-    bit-identical to that.
+    from `params.grad`. A parameter whose `.grad` is not its view of that
+    buffer, a non-finite gradient, or a state of another size is rejected
+    before anything changes. The update runs over the four flat buffers
+    chunk by chunk, with the per-element expression order of the
+    per-tensor update, so its result is bit-identical to that.
     """
     if state.m.size != params.flat.size:
         raise ad.ShapeError(f"Adam state holds {state.m.size} values for "
                             f"{params.flat.size} parameters")
     for name, p in params.tensors.items():
-        if p.grad is None or p.grad.shape != p.shape:
-            raise ad.ShapeError(f"{name} has no gradient of its shape {p.shape}")
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in {name}")
+        if p.grad is not p.grad_buffer:
+            raise ad.ShapeError(f"{name} has no gradient in its view of the gradient buffer")
+    starts = range(0, params.flat.size, ADAM_BUCKET)
+    if not all(np.isfinite(params.grad[i:i + ADAM_BUCKET]).all() for i in starts):
+        raise NumericError("non-finite gradient")
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for start, stop, names in state.buckets:
-        if len(names) == 1:
-            g = params[names[0]].grad.reshape(-1)
-        else:
-            g = np.concatenate([params[name].grad.reshape(-1) for name in names])
-        m = state.m[start:stop]
-        v = state.v[start:stop]
+    for start in starts:
+        chunk = slice(start, start + ADAM_BUCKET)
+        g = params.grad[chunk]
+        m = state.m[chunk]
+        v = state.v[chunk]
         tmp = np.empty_like(g)
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
@@ -234,7 +219,7 @@ def adam_step(params: ModelParams, state: AdamState, lr: float) -> AdamState:
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
         step /= tmp
-        params.flat[start:stop] -= step
+        params.flat[chunk] -= step
     return state
 
 
@@ -530,6 +515,13 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     was when they raise, or after the epoch of a failed validation, which
     is not recorded.
 
+    A resume continues at scene `iteration - epoch * len(scenes)` of the
+    checkpoint's epoch, so a run resumed after a step abort repeats the
+    straight run bit for bit; an offset outside [0, len(scenes)) means
+    the scene list changed and raises ValueError. A resume after a
+    validation abort starts the next epoch and does not rerun that
+    validation.
+
     The returned checkpoint holds the loop's own buffers. On resume those
     are the three buffers of `resume_from`, which the loop trains in, so
     the checkpoint passed in is consumed.
@@ -543,7 +535,7 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         if resume_from.train_config.net != cfg.net:
             raise ValueError("the checkpoint's network config differs from the train config's")
         params = ModelParams(cfg.net, resume_from.params)
-        state = AdamState(cfg.net, resume_from.adam_m, resume_from.adam_v, resume_from.adam_t)
+        state = AdamState(resume_from.adam_m, resume_from.adam_v, resume_from.adam_t)
         iteration = resume_from.iteration
         start_epoch = resume_from.epoch
         val_history = list(resume_from.val_history)
@@ -555,6 +547,9 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
         start_epoch = 0
         val_history = []
         best_val = None
+    if not 0 <= iteration - start_epoch * len(scenes) < len(scenes):
+        raise ValueError(f"the checkpoint's iteration {iteration} does not fall in its epoch "
+                         f"{start_epoch} of {len(scenes)} training scenes")
     losses = []
 
     def snapshot(epoch: int) -> Checkpoint:
@@ -564,7 +559,7 @@ def train_loop(scenes, val_scenes, cfg: TrainConfig,
     if on_best is not None and val_history and val_history[-1] == (start_epoch, best_val):
         on_best(snapshot(start_epoch))
     for epoch in range(start_epoch, cfg.epochs):
-        for scene in scenes:
+        for scene in scenes[iteration - epoch * len(scenes):]:
             rng = _iteration_rng(cfg.seed, iteration)
             try:
                 sub = sample_subsequence(scene, rng, cfg.subseq_min, cfg.subseq_max)

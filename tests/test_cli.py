@@ -557,6 +557,37 @@ class TestExitCodes:
         assert (ckpt.epoch, ckpt.iteration, ckpt.val_history) == (2, 2, [])
         assert not (out / "best.bin").exists()
 
+    def test_resume_after_numeric_failure_in_a_step_is_bit_exact(self, runner, tmp_path):
+        """Training on a clean scene and one that overflows exits 3 in
+        epoch 0; resuming its checkpoint.bin with the clean scenes writes
+        the checkpoint and losses of the straight run."""
+        clean = [synth_scene(runner, tmp_path, count=2).parent / f"scene_00{k}.json"
+                 for k in range(2)]
+        scene = load_scene(clean[1])
+        bad_path = tmp_path / "bad.json"
+        save_scene(replace(scene, xy=scene.xy * 1e300), bad_path)
+        config = str(tiny_train_config(tmp_path, epochs=2))
+
+        def train(scenes, out, *extra):
+            args = ["train", "--config", config, "--out", str(tmp_path / out), *extra]
+            for path in scenes:
+                args += ["--scene", str(path)]
+            return runner.invoke(main, args)
+        with pytest.warns(RuntimeWarning):
+            result = train([clean[0], bad_path], "aborted")
+        assert result.exit_code == 3, result.output
+        assert load_checkpoint(tmp_path / "aborted" / "checkpoint.bin").iteration == 1
+        for out, extra in (("straight", []),
+                           ("resumed", ["--resume", str(tmp_path / "aborted" / "checkpoint.bin")])):
+            result = train(clean, out, *extra)
+            assert result.exit_code == 0, result.output
+        assert ((tmp_path / "straight" / "checkpoint.bin").read_bytes()
+                == (tmp_path / "resumed" / "checkpoint.bin").read_bytes())
+        losses = {run: np.load(tmp_path / run / "loss_history.npy")
+                  for run in ("straight", "aborted", "resumed")}
+        np.testing.assert_array_equal(
+            losses["straight"], np.concatenate([losses["aborted"], losses["resumed"]]))
+
     def test_ba_nonconvergence_is_4(self, runner, tmp_path):
         """A reconstruction with a point sitting on a camera center makes
         the starting objective non-finite."""

@@ -414,3 +414,57 @@ def test_scene_json_round_trip_property(views, points, visibility, noise, mode, 
         assert (a is None) == (b is None), name
         if a is not None:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+SCENE_ARRAYS = ("view_idx", "point_idx", "xy", "intrinsics", "gt_quats", "gt_centers",
+                "gt_points")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(views=st.integers(2, 8), points=st.integers(8, 24), visibility=st.floats(0.3, 1.0),
+       mode=st.sampled_from(["euclidean", "projective"]), ground_truth=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_subsample_views_property(views, points, visibility, mode, ground_truth, seed, data):
+    """For any scene and any subset of its views (in any order),
+    subsample_views raises EmptySubsceneError and nothing else, or returns
+    a scene whose view map is the kept part of the subset in subset order,
+    whose point map is sorted, whose observations are exactly the
+    original's between the kept views and points, and whose per-view and
+    per-point arrays are the original rows at the mapped indices.
+    Subsampling that scene with all of its views gives it back with
+    identity maps."""
+    scene = generate_synthetic(SceneGenConfig(views, points, visibility, mode=mode), seed=seed)
+    if not ground_truth:
+        scene = replace(scene, gt_quats=None, gt_centers=None, gt_points=None)
+    subset = data.draw(st.lists(st.integers(0, views - 1), min_size=1, max_size=views,
+                                unique=True))
+    try:
+        sub, maps = subsample_views(scene, subset)
+    except EmptySubsceneError:
+        return
+    view_map, point_map = maps.view_map, maps.point_map
+    assert view_map.tolist() == [v for v in subset if v in view_map]
+    assert (np.diff(point_map) > 0).all()
+    assert (sub.num_views, sub.num_points) == (view_map.size, point_map.size)
+    kept = np.isin(scene.view_idx, view_map) & np.isin(scene.point_idx, point_map)
+    original = {(v, p): xy for v, p, xy in
+                zip(scene.view_idx[kept], scene.point_idx[kept], scene.xy[kept].tolist())}
+    mapped = {(v, p): xy for v, p, xy in
+              zip(view_map[sub.view_idx], point_map[sub.point_idx], sub.xy.tolist())}
+    assert mapped == original
+    for name, rows in (("intrinsics", view_map), ("gt_quats", view_map),
+                       ("gt_centers", view_map), ("gt_points", point_map)):
+        a, b = getattr(scene, name), getattr(sub, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            np.testing.assert_array_equal(b, a[rows], err_msg=name)
+    again, identity = subsample_views(sub, np.arange(sub.num_views))
+    np.testing.assert_array_equal(identity.view_map, np.arange(sub.num_views))
+    np.testing.assert_array_equal(identity.point_map, np.arange(sub.num_points))
+    assert (again.num_views, again.num_points, again.mode) == (
+        sub.num_views, sub.num_points, sub.mode)
+    for name in SCENE_ARRAYS:
+        a, b = getattr(sub, name), getattr(again, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            np.testing.assert_array_equal(b, a, err_msg=name)

@@ -50,13 +50,17 @@ def scalar_params(value):
 
 def step_theta(params, state, grad, lr):
     for p in params.tensors.values():
-        p.grad = np.full(p.shape, grad)
+        p.grad = p.grad_buffer
+        p.grad.fill(grad)
     adam_step(params, state, lr=lr)
 
 
 def set_random_grads(params, rng):
+    """One normal draw per tensor, written into its view of the gradient
+    buffer."""
     for p in params.tensors.values():
-        p.grad = rng.normal(size=p.shape)
+        p.grad = p.grad_buffer
+        p.grad[...] = rng.normal(size=p.shape)
 
 
 class TestAdam:
@@ -114,16 +118,19 @@ class TestAdam:
         np.testing.assert_array_equal(state.v, before[2])
         assert state.t == before[3]
 
-    @pytest.mark.parametrize("case", ["missing gradient", "state size"])
+    @pytest.mark.parametrize("case", ["missing gradient", "foreign gradient", "state size"])
     def test_bad_input_changes_nothing(self, rng, case):
-        """A parameter without a gradient, or a state laid out for another
-        model, is rejected before any parameter, moment or the step count
-        moves."""
+        """A parameter without a gradient, one whose gradient is an array
+        other than its view of the gradient buffer, or a state laid out
+        for another model, is rejected before any parameter, moment or the
+        step count moves."""
         params = init_params(TINY_NET, 0)
         state = AdamState.zeros(params)
         set_random_grads(params, rng)
         if case == "missing gradient":
             params["point_head.l2.b"].grad = None
+        elif case == "foreign gradient":
+            params["point_head.l2.w"].grad = params["point_head.l2.w"].grad.copy()
         else:
             state = AdamState.zeros(scalar_params(1.0))
         before = (params.flat.copy(), state.m.copy(), state.v.copy(), state.t)
@@ -136,9 +143,10 @@ class TestAdam:
 
     @pytest.mark.parametrize("bucket", [train_mod.ADAM_BUCKET, 100])
     def test_bit_identical_to_per_tensor_update(self, rng, monkeypatch, bucket):
-        """The bucketed update over the flat buffers equals the textbook
-        per-tensor update exactly, also where a bucket size splits the
-        model into many buckets and leaves tensors on their own."""
+        """The chunked update over the flat buffers equals the textbook
+        per-tensor update exactly, at the default chunk size and at one
+        that splits the model into many chunks, crossing tensor
+        boundaries."""
         monkeypatch.setattr(train_mod, "ADAM_BUCKET", bucket)
         params = init_params(TINY_NET, 0)
         state = AdamState.zeros(params)
@@ -155,7 +163,6 @@ class TestAdam:
                 v *= 0.999
                 v += (1.0 - 0.999) * g * g
                 p -= 1e-2 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
-        assert any(len(names) > 1 for _, _, names in state.buckets)
         for i, buffer in enumerate((params.flat, state.m, state.v)):
             np.testing.assert_array_equal(
                 buffer, np.concatenate([r[i].reshape(-1) for r in ref.values()]))
@@ -405,6 +412,29 @@ class TestTrainLoop:
         poisoned.params[0] = np.nan                      # embed.w[0, 0]
         res = train_loop([scene], [], cfg, resume_from=poisoned)
         assert res.abort_reason
+
+    def test_resume_after_step_abort_is_bit_exact(self):
+        """A run whose second scene overflows aborts at epoch 0, iteration
+        1. Resumed with the clean scenes, it continues at that scene, so its
+        buffers and losses are the straight run's bit for bit. A scene
+        list too short for the checkpoint's iteration is rejected."""
+        scenes = [make_scene(num_views=4, num_points=12, seed=seed)[0] for seed in (31, 32)]
+        bad = [scenes[0], replace(scenes[1], xy=scenes[1].xy * 1e300)]
+        cfg = tiny_train_cfg(epochs=2)
+        straight = train_loop(scenes, [], cfg)
+        with pytest.warns(RuntimeWarning):
+            aborted = train_loop(bad, [], cfg)
+        ckpt = aborted.checkpoint
+        assert aborted.abort_reason and (ckpt.epoch, ckpt.iteration) == (0, 1)
+        resumed = train_loop(scenes, [], cfg, resume_from=ckpt)
+        assert resumed.checkpoint.iteration == straight.checkpoint.iteration == 4
+        for buffer in ("params", "adam_m", "adam_v"):
+            np.testing.assert_array_equal(getattr(straight.checkpoint, buffer),
+                                          getattr(resumed.checkpoint, buffer))
+        np.testing.assert_array_equal(
+            straight.loss_history, np.concatenate([aborted.loss_history, resumed.loss_history]))
+        with pytest.raises(ValueError, match="does not fall in its epoch"):
+            train_loop(scenes[:1], [], cfg, resume_from=aborted.checkpoint)
 
     def test_aborts_on_numeric_failure_in_validation(self):
         """A validation that overflows aborts the run like a failed step:
