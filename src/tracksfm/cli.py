@@ -252,7 +252,7 @@ def infer(ckpt_path, scene_path, do_triangulate, out_dir):
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @_wrap
 def ba(scene_path, recon_path, huber, rounds, max_iters, out_dir):
-    """Two-round Huber bundle adjustment interleaved with triangulation."""
+    """Huber bundle adjustment in LM rounds, with per-point re-triangulation between them."""
     cfg = BaConfig(huber_threshold=huber, rounds=rounds, max_iters_per_round=max_iters)
     scene, _ = prepare_scene(load_scene(scene_path))
     recon = load_reconstruction(recon_path)

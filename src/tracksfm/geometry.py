@@ -42,7 +42,7 @@ STEP_TOL = 1e-8
 class BaConfig:
     huber_threshold: float = 0.1          # normalized units
     max_iters_per_round: int = 100
-    rounds: int = 2                        # interleaved with triangulation
+    rounds: int = 2                        # each point restarts from refined or DLT between
 
     def __post_init__(self):
         if not 0 < self.huber_threshold < np.inf:
@@ -62,6 +62,8 @@ class BaDiagnostics:
     ("relative decrease", "gradient", "small step", "iteration cap",
     "damping exhausted" or "non-finite start"); and the number of
     observations with depth <= 0 at round start and at round end.
+    `restart_kept` holds one entry per round boundary: the number of points
+    that kept their refined position rather than their re-triangulation.
     """
 
     objectives: list = field(default_factory=list)
@@ -69,6 +71,7 @@ class BaDiagnostics:
     rejected: list = field(default_factory=list)
     stop_reasons: list = field(default_factory=list)
     behind_camera: list = field(default_factory=list)   # [start, end] pairs
+    restart_kept: list = field(default_factory=list)
     converged: bool = True
     message: str = ""
 
@@ -129,11 +132,14 @@ def _residuals(scene: Scene, recon: Reconstruction):
     return scene.xy - xy, z
 
 
-def _robust_objective(r: np.ndarray, delta: float) -> float:
+def _huber(r: np.ndarray, delta: float) -> np.ndarray:
+    """Per-observation Huber value of the residual norm."""
     e = np.linalg.norm(r, axis=1)
-    quad = e <= delta
-    vals = np.where(quad, 0.5 * e * e, delta * (e - 0.5 * delta))
-    return float(vals.sum())
+    return np.where(e <= delta, 0.5 * e * e, delta * (e - 0.5 * delta))
+
+
+def _robust_objective(r: np.ndarray, delta: float) -> float:
+    return float(_huber(r, delta).sum())
 
 
 def _huber_weights(r: np.ndarray, delta: float) -> np.ndarray:
@@ -417,15 +423,41 @@ def _lm_round(scene: Scene, recon: Reconstruction, cfg: BaConfig,
     return end
 
 
+def _restart_points(scene: Scene, recon: Reconstruction,
+                    cfg: BaConfig) -> tuple[Reconstruction, int]:
+    """The next round's start: each point keeps its refined position when
+    its robust cost over its own observations at recon's cameras is no
+    higher than its DLT triangulation's and, in euclidean mode, it lies in
+    front of every camera that observes it; otherwise it takes the
+    triangulation. With the cameras fixed the objective is a sum of
+    per-point terms, so the start is no higher than recon's objective
+    unless a point behind a camera moved, and it has no more observations
+    behind the cameras than the triangulation. Returns (start, number of
+    points kept)."""
+    n = scene.num_points
+    tri = replace(recon, points=triangulate(scene, recon)[0])
+    (r, z), (r_tri, _) = _residuals(scene, recon), _residuals(scene, tri)
+    delta = cfg.huber_threshold
+    keep = (scatter_add(scene.point_idx, _huber(r, delta), n)
+            <= scatter_add(scene.point_idx, _huber(r_tri, delta), n))
+    if recon.mode == EUCLIDEAN:
+        keep[scene.point_idx[z[:, 2] <= 0]] = False
+    points = np.where(keep[:, None], recon.points, tri.points)
+    return replace(recon, points=points), int(np.count_nonzero(keep))
+
+
 def bundle_adjust(scene: Scene, recon: Reconstruction,
                   cfg: BaConfig | None = None) -> tuple[Reconstruction, BaDiagnostics]:
     """Minimize the Huber-robustified reprojection objective over cameras
-    and points, in `rounds` LM rounds interleaved with DLT triangulation.
+    and points, in `rounds` LM rounds.
 
     The objective is non-increasing over accepted LM steps within each
-    round (asserted by the diagnostics); re-triangulation between rounds
-    restarts the point coordinates from the refined cameras. The input is
-    left untouched, and the result shares no array with it.
+    round (asserted by the diagnostics). Between rounds each point starts
+    from the better of its refined position and its DLT triangulation at
+    the refined cameras (`_restart_points`), so a round starts no higher
+    than the previous one ended, unless a point behind a camera had to
+    move. The input is left untouched, and the result shares no array with
+    it.
     """
     cfg = cfg or BaConfig()
     if recon.mode != scene.mode:
@@ -436,7 +468,8 @@ def bundle_adjust(scene: Scene, recon: Reconstruction,
     for rnd in range(cfg.rounds):
         recon = _lm_round(scene, recon, cfg, diagnostics)
         if rnd < cfg.rounds - 1:
-            recon = replace(recon, points=triangulate(scene, recon)[0])
+            recon, kept = _restart_points(scene, recon, cfg)
+            diagnostics.restart_kept.append(kept)
     capped = [str(k + 1) for k, why in enumerate(diagnostics.stop_reasons)
               if why == "iteration cap"]
     if capped and not diagnostics.message:

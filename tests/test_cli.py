@@ -183,6 +183,7 @@ class TestInferBaEval:
         assert diag["converged"] is True
         for key in ("objectives", "lambdas", "rejected", "stop_reasons", "behind_camera"):
             assert len(diag[key]) == 2               # one entry per round
+        assert len(diag["restart_kept"]) == 1       # one entry per round boundary
         for trace, lambdas in zip(diag["objectives"], diag["lambdas"]):
             assert trace and all(b < a for a, b in zip(trace, trace[1:]))
             assert len(lambdas) == len(trace) - 1

@@ -10,6 +10,7 @@ from tracksfm.geometry import (
     SimilarityTransform,
     _build_normal_blocks,
     _residuals,
+    _restart_points,
     _robust_objective,
     _stepped,
     align_similarity,
@@ -29,6 +30,7 @@ from tracksfm.objective import loss
 from tracksfm.rotations import (axis_angle_to_matrix, matrix_to_quat,
                                 quat_multiply, quat_to_matrix)
 from tracksfm.scene import Scene, normalize_hartley, project
+from tracksfm.train import inject_outliers
 
 from conftest import make_scene, gt_reconstruction
 from oracles import normal_blocks_oracle, triangulate_oracle
@@ -197,6 +199,8 @@ class TestBundleAdjust:
         # projective cameras carry a sign gauge, so judge by image-space
         # residuals rather than the depth-hinged training loss
         assert reprojection_errors_px(scene_n, refined, None).mean() < 1e-8
+        # without a depth test the restart selects each point by cost alone
+        assert diag.objectives[1][0] <= diag.objectives[0][-1]
 
     def test_nonconvergence_flag_on_degenerate_input(self):
         scene, raw, _ = make_scene(num_views=4, num_points=12, seed=8)
@@ -228,10 +232,24 @@ class TestBundleAdjust:
             assert len(lams) == len(trace) - 1
             assert isinstance(rejected, int) and rejected >= 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restart_no_higher_than_round_end(self, seed):
+        """With 5% outliers the DLT triangulation at round 1's cameras costs
+        more than round 1's Huber optimum; round 2 starts no higher than
+        round 1 ended and needs at most 2 accepted steps."""
+        scene, raw, _ = make_scene(10, 100, visibility=0.8, noise=1e-3, seed=seed)
+        scene, _ = inject_outliers(scene, 0.05, np.random.default_rng(seed))
+        start = perturbed_gt(raw, np.random.default_rng(100 + seed))
+        _, diag = bundle_adjust(scene, start)
+        first, second = diag.objectives
+        assert second[0] <= first[-1]
+        assert len(second) - 1 <= 2
+
     def test_cheirality_counts(self):
         """Observations with depth <= 0 at each round's start and end: a
-        point mirrored through camera 0's center starts behind it, and
-        round 2 starts from the re-triangulated points."""
+        point mirrored through camera 0's center starts behind it; a
+        restart does not keep it there, and round 2 starts with every
+        observation in front."""
         scene, raw, _ = make_scene(num_views=6, num_points=40, seed=3)
         start = gt_reconstruction(raw)
         pts = start.points.copy()
@@ -246,11 +264,24 @@ class TestBundleAdjust:
         assert behind(start) >= 1
         first, diag = bundle_adjust(scene, start, BaConfig(rounds=1))
         assert diag.behind_camera == [[behind(start), behind(first)]]
-        retriangulated = replace(first, points=triangulate(scene, first)[0])
+        restarted, kept = _restart_points(scene, start, BaConfig())
+        assert kept == scene.num_points - 1
+        np.testing.assert_array_equal(restarted.points[0], triangulate(scene, start)[0][0])
+        np.testing.assert_array_equal(restarted.points[1:], start.points[1:])
+        assert behind(restarted) == 0
+        second_start, kept = _restart_points(scene, first, BaConfig())
         refined, diag = bundle_adjust(scene, start)
+        assert diag.restart_kept == [kept]
         assert diag.behind_camera == [[behind(start), behind(first)],
-                                      [behind(retriangulated), behind(refined)]]
-        assert behind(retriangulated) == 0
+                                      [behind(second_start), behind(refined)]]
+        assert behind(second_start) == 0
+        # every point and center reflected through the origin: the same
+        # image points with every depth negated, which the triangulation
+        # matches but cannot bring in front; no point is kept
+        gt = gt_reconstruction(raw)
+        reflected = replace(gt, centers=-gt.centers, points=-gt.points)
+        assert behind(reflected) == scene.num_observations
+        assert _restart_points(scene, reflected, BaConfig())[1] == 0
 
     @pytest.mark.parametrize("case", ["ground truth, one round", "perturbed", "projective"])
     def test_input_untouched_and_not_aliased(self, rng, case):
