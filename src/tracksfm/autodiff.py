@@ -12,12 +12,19 @@ mul and div (also as the operators +, -, *, / and unary -, with the tensor
 on the left), matmul, concat/narrow/gather, relu, sqrt, where and sum/mean
 reductions, plus two fused ones with hand-derived adjoints: `gatv2`, a
 whole GATv2 attention aggregation, and `layer_norm`, the affine layer norm.
-Each fused primitive repeats the operations of the composition it replaces
-in the same order and keeps its tape order, so values and gradients are
-bit-identical to that composition, while the tape holds one node instead of
-17 or 3. `segment_sum` and `segment_softmax` belong to the composition
-`gatv2` replaces and are kept as primitives for it. All forward values are
-float64.
+Each fused primitive keeps the tape order of the composition it replaces,
+so adjoints reach nodes with several consumers in the same order, while the
+tape holds one node instead of 17 or 3. `layer_norm` repeats its
+composition's operations and is bit-identical to it; `gatv2` sums each
+head's columns as BLAS products and agrees with its composition to about
+1e-15 (with one-column heads, bit for bit but for the adjoint of `a`).
+`segment_sum` and `segment_softmax` belong to the composition `gatv2`
+replaces and are kept as primitives for it. All forward values are float64.
+The kernels are written for the N x d per-observation arrays, with d as
+small as 16, on which numpy's per-row machinery is slow: a reduction over
+the short axis is a product with a ones vector (or with a 0/1 head-block
+matrix), a mask is a branch-free product instead of np.where, and a segment
+maximum is np.maximum.reduceat over sorted rows instead of np.maximum.at.
 The right operand of add, mul and div may be a number or an array: it
 becomes a constant Tensor and takes the Tensor path, shape check included
 (a mismatch raises ShapeError). So `div` divides by a number; it does not
@@ -174,9 +181,18 @@ def zero_grads(params) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient over the axes that numpy broadcasting expanded. The
-    result is g itself when nothing was expanded, else a new array."""
+    result is g itself when nothing was expanded, else a new array. A 2-D
+    gradient summed over its rows, or over its columns, is one BLAS product
+    with a ones vector: numpy's reduction over a short axis is several
+    times slower on the N x 16 per-observation arrays."""
     if g.shape == shape:
         return g
+    if g.ndim == 2:
+        rows, cols = g.shape
+        if shape in ((cols,), (1, cols)):
+            return (np.ones(rows) @ g).reshape(shape)
+        if shape == (rows, 1):
+            return (g @ np.ones(cols)).reshape(shape)
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -360,11 +376,32 @@ def _segments(index, rows: int, num_segments: int, nonempty: bool = False) -> np
     return index
 
 
+def segment_max(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """out[i] = max of values[k] over k with index[k] == i, of shape
+    (size,) + values.shape[1:], and -inf where no k has index[k] == i (a
+    plain-array helper, not a primitive).
+
+    The rows are stably sorted by segment, unless `index` is sorted
+    already, and each non-empty segment is reduced with one
+    np.maximum.reduceat: several times faster than np.maximum.at, and
+    exact, since a maximum does not round.
+    """
+    counts = np.bincount(index, minlength=size)
+    if not (index[1:] >= index[:-1]).all():
+        values = values[np.argsort(index, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    if counts.all():
+        return np.maximum.reduceat(values, starts, axis=0)
+    out = np.full((size,) + values.shape[1:], -np.inf)
+    nonempty = counts > 0
+    if nonempty.any():
+        out[nonempty] = np.maximum.reduceat(values, starts[nonempty], axis=0)
+    return out
+
+
 def _softmax(x: np.ndarray, index: np.ndarray, num_segments: int) -> np.ndarray:
     """Softmax of the rows of x within each segment, per trailing column."""
-    mx = np.full((num_segments,) + x.shape[1:], -np.inf)
-    np.maximum.at(mx, index, x)
-    ex = np.exp(x - mx[index])
+    ex = np.exp(x - segment_max(index, x, num_segments)[index])
     return ex / scatter_add(index, ex, num_segments)[index]
 
 
@@ -410,14 +447,17 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
     SegmentIndexError) and weight the source projections W_src h_src.
     Returns the (n_tgt, da) output and the (E, heads) weights.
 
-    The forward and the vjp repeat, operation for operation, the
-    narrow/matmul/gather/add/leaky_relu/reshape/mul/tsum/segment_softmax/
-    segment_sum composition (tests/oracles.py::gatv2_oracle), so values and
-    gradients are bit-identical to it (but for the sign of a zero in w's
-    adjoint, written where the composition adds to zeros). The parents are
-    listed (tgt, src, w, a) so that the tape visits the inputs in the
-    composition's order, and adjoints reach nodes with several consumers in
-    the same order.
+    The forward and the vjp follow the narrow/matmul/gather/add/leaky_relu/
+    reshape/mul/tsum/segment_softmax/segment_sum composition
+    (tests/oracles.py::gatv2_oracle). The leaky ReLU max(x, slope x) and
+    its slope factor are exact, and so are the head expansions
+    (np.repeat). The per-head sums over hd columns are products with a
+    (da, heads) block matrix, and a's adjoint is a product over the edges,
+    so values and gradients agree with the composition to rounding (about
+    1e-15) rather than bit for bit; with one-wide heads everything but a's
+    adjoint is bit-identical. The parents are listed (tgt, src, w, a) so
+    that the tape visits the inputs in the composition's order, and
+    adjoints reach nodes with several consumers in the same order.
     """
     d1 = src.shape[1]
     if tgt.shape[1] != d1:
@@ -433,27 +473,27 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
     index = _segments(edge_tgt, src.shape[0], n_tgt, nonempty=True)
     hd = da // heads
     w_tgt, w_src = w.values[:d1], w.values[d1:]
-    s_proj = src.values @ w_src                              # (E, da)
-    pre = (tgt.values @ w_tgt)[index] + s_proj
-    pos = pre > 0
-    act3 = np.where(pos, pre, slope * pre).reshape(-1, heads, hd)
-    a3 = a.values.reshape(1, heads, hd)
-    alpha = _softmax((act3 * a3).sum(axis=2), index, n_tgt)  # (E, heads)
-    msg = s_proj.reshape(-1, heads, hd)
-    alpha3 = alpha.reshape(-1, heads, 1)
-    out = Tensor(scatter_add(index, (msg * alpha3).reshape(-1, da), n_tgt),
+    s_proj = src.values @ w_src                                   # (E, da)
+    act = (tgt.values @ w_tgt)[index]
+    act += s_proj
+    np.maximum(act, slope * act, out=act)                         # leaky ReLU
+    # block[j, h] is 1 where column j belongs to head h, so that a product
+    # with it sums each head's hd columns
+    block = (np.arange(da)[:, None] // hd == np.arange(heads)).astype(np.float64)
+    alpha = _softmax(act @ (block * a.values[:, None]), index, n_tgt)   # (E, heads)
+    out = Tensor(scatter_add(index, s_proj * np.repeat(alpha, hd, axis=1), n_tgt),
                  _parents=(tgt, src, w, a))
 
     def vjp(g):
         first_w = w._needs and w._first_grad()
-        g3 = g[index].reshape(-1, heads, hd)
-        g_alpha = _unbroadcast(g3 * msg, alpha3.shape).reshape(alpha.shape)
-        g_scores = _softmax_vjp(g_alpha, alpha, index, n_tgt)
-        g_prod = np.broadcast_to(g_scores[:, :, None], act3.shape)
+        g_e = g[index]                                            # (E, da)
+        g_scores = _softmax_vjp((g_e * s_proj) @ block, alpha, index, n_tgt)
         if a._needs:
-            a._add_grad(_unbroadcast(g_prod * act3, a3.shape).reshape(a.shape), owned=True)
-        g_act = (g_prod * a3).reshape(-1, da)
-        g_pre = np.where(pos, g_act, slope * g_act)
+            per_head = (g_scores.T @ act).reshape(heads, heads, hd)
+            a._add_grad(per_head[np.arange(heads), np.arange(heads)].reshape(da), owned=True)
+        g_pre = np.repeat(g_scores, hd, axis=1)
+        g_pre *= a.values
+        g_pre *= (act > 0) * (1.0 - slope) + slope               # leaky ReLU slope
         if tgt._needs or w._needs:
             g_t = scatter_add(index, g_pre, n_tgt)
             if tgt._needs:
@@ -461,33 +501,39 @@ def gatv2(src: Tensor, tgt: Tensor, w: Tensor, a: Tensor, edge_tgt: np.ndarray,
             if w._needs:
                 _add_product(w.grad[:d1], tgt.values.T, g_t, first_w)
         if src._needs or w._needs:
-            g_s = (g3 * alpha3).reshape(-1, da) + g_pre
+            g_e *= np.repeat(alpha, hd, axis=1)
+            g_e += g_pre
             if src._needs:
-                src._add_grad(g_s @ w_src.T, owned=True)
+                src._add_grad(g_e @ w_src.T, owned=True)
             if w._needs:
-                _add_product(w.grad[d1:], src.values.T, g_s, first_w)
+                _add_product(w.grad[d1:], src.values.T, g_e, first_w)
     out._vjp = vjp
     return out, alpha
 
 
 def relu(t: Tensor) -> Tensor:
-    pos = t.values > 0
-    out = Tensor(np.where(pos, t.values, 0.0), _parents=(t,))
-    out._vjp = lambda g: t._add_grad(np.where(pos, g, 0.0), owned=True)
+    """max(x, 0), which unlike a masked select is branch-free and carries a
+    NaN through; the adjoint is the output adjoint times the mask x > 0."""
+    values = np.maximum(t.values, 0.0)
+    out = Tensor(values, _parents=(t,))
+    out._vjp = lambda g: t._add_grad(g * (values > 0), owned=True)
     return out
 
 
 def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the feature (last) axis to zero mean and unit
-    variance, then scale by `gain` and shift by `bias`. Values and
-    gradients are bit-identical to the normalization followed by a mul and
-    an add primitive; the parents (t, gain, bias) keep their tape order."""
+    variance, then scale by `gain` and shift by `bias`. The row means are
+    products with a ones vector, and the adjoints of `gain` and `bias` sum
+    over the rows the same way (`_unbroadcast`). The parents (t, gain,
+    bias) keep the tape order of the normalization followed by a mul and
+    an add primitive, and the values and gradients equal that composition's
+    (tests/oracles.py::layer_norm_oracle)."""
     x = t.values
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = xc * inv
+    d = x.shape[-1]
+    ones = np.ones(d)
+    y = x - ((x @ ones) / d)[..., None]
+    inv = 1.0 / np.sqrt(((y * y) @ ones) / d + eps)[..., None]
+    y *= inv
     out = Tensor(y * gain.values + bias.values, _parents=(t, gain, bias))
 
     def vjp(g):
@@ -497,9 +543,11 @@ def layer_norm(t: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             gain._add_grad(_unbroadcast(g * y, gain.values.shape), owned=True)
         if t._needs:
             gy = g * gain.values
-            g_mean = gy.mean(axis=-1, keepdims=True)
-            gy_mean = (gy * y).mean(axis=-1, keepdims=True)
-            t._add_grad(inv * (gy - g_mean - y * gy_mean), owned=True)
+            gx = gy - ((gy @ ones) / d)[..., None]
+            gy *= y
+            gx -= y * ((gy @ ones) / d)[..., None]
+            gx *= inv
+            t._add_grad(gx, owned=True)
     out._vjp = vjp
     return out
 

@@ -1,8 +1,8 @@
 """Quaternion and rotation-matrix helpers shared across the package.
 
 Quaternions are stored as (w, x, y, z) and assumed unit-norm unless noted.
-The quaternion functions accept a single item or a leading batch axis;
-`axis_angle_to_matrix` and `look_at_rotation` take a single item.
+The quaternion functions and `axis_angle_to_matrix` accept a single item or
+a leading batch axis; `look_at_rotation` takes a single item.
 """
 
 from __future__ import annotations
@@ -80,15 +80,20 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
-def axis_angle_to_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues formula for a unit axis and an angle in radians."""
+def axis_angle_to_matrix(axis: np.ndarray, angle) -> np.ndarray:
+    """Rodrigues formula for axes (..., 3) and angles (...) in radians,
+    with one matrix (..., 3, 3) per axis. Each axis is scaled to unit
+    length first: a single one by np.linalg.norm's dot product, a batch by
+    its row norms."""
     axis = np.asarray(axis, dtype=np.float64)
-    axis = axis / np.linalg.norm(axis)
-    K = np.array([
-        [0.0, -axis[2], axis[1]],
-        [axis[2], 0.0, -axis[0]],
-        [-axis[1], axis[0], 0.0],
-    ])
+    axis = axis / (np.linalg.norm(axis) if axis.ndim == 1
+                   else np.linalg.norm(axis, axis=-1, keepdims=True))
+    x, y, z = axis[..., 0], axis[..., 1], axis[..., 2]
+    K = np.zeros(axis.shape[:-1] + (3, 3))
+    K[..., 0, 1], K[..., 0, 2] = -z, y
+    K[..., 1, 0], K[..., 1, 2] = z, -x
+    K[..., 2, 0], K[..., 2, 1] = -y, x
+    angle = np.asarray(angle, dtype=np.float64)[..., None, None]
     return np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
 
 

@@ -119,13 +119,21 @@ class Scene:
         if 2 * max(m, n) > vi.size:          # before any array is sized by m or n
             raise CoverageError(f"{m} views and {n} points need at least "
                                 f"{2 * max(m, n)} observations, not {vi.size}")
-        order = np.lexsort((pi, vi))
-        vi, pi, xy = vi[order], pi[order], xy[order]
+        # A strictly increasing view * n + point key proves the canonical
+        # order and rules out duplicates, so the scenes that `replace` and
+        # `subsample_views` build skip the sort; they copy only arrays the
+        # caller could still write to.
         key = vi * n + pi
-        if np.any(np.diff(key) == 0):
-            dup = int(np.flatnonzero(np.diff(key) == 0)[0])
-            raise DuplicateObservationError(
-                f"duplicate observation (view={vi[dup]}, point={pi[dup]})")
+        if (key[1:] > key[:-1]).all():
+            vi, pi, xy = (a.copy() if a.flags.writeable else a for a in (vi, pi, xy))
+        else:
+            order = np.lexsort((pi, vi))
+            vi, pi, xy = vi[order], pi[order], xy[order]
+            key = key[order]
+            if np.any(np.diff(key) == 0):
+                dup = int(np.flatnonzero(np.diff(key) == 0)[0])
+                raise DuplicateObservationError(
+                    f"duplicate observation (view={vi[dup]}, point={pi[dup]})")
         views_per_point = np.bincount(pi, minlength=n)
         points_per_view = np.bincount(vi, minlength=m)
         if np.any(views_per_point < 2):

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NumericError
+from .autodiff import NumericError, scatter_add
 from .network import ModelParams, NetConfig, forward, init_params, param_shapes
 from .objective import loss, normalize_param_grads
 from .rotations import axis_angle_to_matrix, matrix_to_quat, quat_to_matrix
@@ -250,12 +250,10 @@ def augment(scene: Scene, rng: np.random.Generator,
     thetas = rng.uniform(0.0, 2.0 * np.pi, size=m)
     gammas = rng.uniform(*gamma_range_deg, size=m)
 
-    R_new = quat_to_matrix(scene.gt_quats)
-    for i in range(m):
-        Rz = axis_angle_to_matrix(np.array([0.0, 0.0, 1.0]), np.deg2rad(alphas[i]))
-        axis = np.array([np.cos(thetas[i]), np.sin(thetas[i]), 0.0])
-        Rg = axis_angle_to_matrix(axis, np.deg2rad(gammas[i]))
-        R_new[i] = Rg @ Rz @ R_new[i]
+    Rz = axis_angle_to_matrix(np.tile([0.0, 0.0, 1.0], (m, 1)), np.deg2rad(alphas))
+    axes = np.stack([np.cos(thetas), np.sin(thetas), np.zeros(m)], axis=1)
+    Rg = axis_angle_to_matrix(axes, np.deg2rad(gammas))
+    R_new = Rg @ Rz @ quat_to_matrix(scene.gt_quats)
 
     xy, z = project(pose_matrices(R_new, scene.gt_centers), scene.gt_points,
                     scene.view_idx, scene.point_idx)
@@ -323,23 +321,58 @@ def inject_outliers(scene: Scene, rate: float,
     if chosen is None:
         raise InfeasibleOutlierRateError("selection did not converge")
     mask[chosen] = True
+    return replace(scene, xy=_draw_outliers(scene, mask, rng)), mask
 
+
+def _draw_outliers(scene: Scene, mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """scene.xy with the rows of `mask` replaced by draws from each view's
+    bivariate normal, fit as the mean and np.cov (ddof=1) of its inliers.
+    One block of standard normals covers every outlier in view order, the
+    stream that one draw per view takes.
+
+    The result is bit-identical to fitting and drawing one view at a time
+    (tests/oracles.py::outlier_draws_oracle). The inlier rows are summed in
+    order, as np.mean sums them. The covariance and the draw product stay
+    one small BLAS product per view over its contiguous rows, as np.cov
+    and `draws @ L.T` compute them: a product over all views at once would
+    round differently.
+    """
+    vi, m = scene.view_idx, scene.num_views
+    inl = ~mask
+    vi_in, xy_in = vi[inl], scene.xy[inl]
+    counts = np.bincount(vi_in, minlength=m)
+    mean = scatter_add(vi_in, xy_in, m) / counts[:, None]
+    xc = xy_in - mean[vi_in]
+    out = np.flatnonzero(mask)           # canonical order, so grouped by view
+    per_view = np.bincount(vi[out], minlength=m)
+    views = np.flatnonzero(per_view)
+    per_view = per_view[views]
+    in_lo = (np.cumsum(counts) - counts)[views]
+    cov = np.stack([xc[lo:lo + k].T @ xc[lo:lo + k] for lo, k in zip(in_lo, counts[views])])
+    cov *= (1.0 / (counts[views] - 1))[:, None, None]
+    draws = rng.standard_normal((out.size, 2))
     xy = scene.xy.copy()
-    for i in range(m):
-        out_here = np.flatnonzero(mask & (vi == i))
-        if out_here.size == 0:
-            continue
-        inl = scene.xy[(vi == i) & ~mask]
-        mean = inl.mean(axis=0)
-        cov = np.cov(inl, rowvar=False, ddof=1)
+    for v, lo, k, L in zip(views, np.cumsum(per_view) - per_view, per_view,
+                           _cholesky_factors(cov)):
+        xy[out[lo:lo + k]] = mean[v] + draws[lo:lo + k] @ L.T
+    return xy
+
+
+def _cholesky_factors(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of 2x2 covariances; a covariance
+    that is not positive definite gets sqrt(largest eigenvalue) * I."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    L = np.empty_like(cov)
+    for k, c in enumerate(cov):
         try:
-            L = np.linalg.cholesky(cov)
+            L[k] = np.linalg.cholesky(c)
         except np.linalg.LinAlgError:
-            lam = float(np.max(np.linalg.eigvalsh(cov)))
-            L = np.sqrt(max(lam, 0.0)) * np.eye(2)
-        draws = rng.standard_normal((out_here.size, 2))
-        xy[out_here] = mean + draws @ L.T
-    return replace(scene, xy=xy), mask
+            lam = float(np.max(np.linalg.eigvalsh(c)))
+            L[k] = np.sqrt(max(lam, 0.0)) * np.eye(2)
+    return L
 
 
 # -- checkpointing -----------------------------------------------------------

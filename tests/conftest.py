@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +48,23 @@ def rng():
 def pytest_configure(config):
     """Hypothesis caches the literals it finds in local modules under its
     home directory, `.hypothesis/` by default, while pytest collects the
-    tests; keep that cache inside pytest's own cache directory instead."""
+    tests; keep that cache inside pytest's own cache directory instead.
+
+    Hypothesis's failure report imports its patch writer, and with it
+    libcst, whose import raises mypy_extensions' TypedDict
+    DeprecationWarning. Raised inside a test marked to turn warnings into
+    errors, that warning aborts the whole session with an INTERNALERROR, so
+    the module is imported here, once, with that one warning ignored."""
     cache = getattr(config, "cache", None)
     if cache is not None:
         set_hypothesis_home_dir(cache.mkdir("hypothesis"))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                                category=DeprecationWarning)
+        try:
+            import hypothesis.extra._patching  # noqa: F401
+        except ImportError:     # without libcst the report writes no patch
+            pass
 
 
 TESTS_DIR = Path(__file__).resolve().parent

@@ -167,3 +167,24 @@ def layer_norm_oracle(x, gain, bias, eps=1e-5):
     d = x.shape[-1]
     plain = ad.layer_norm(x, ad.constant(np.ones(d)), ad.constant(np.zeros(d)), eps)
     return plain * gain + bias
+
+
+def outlier_draws_oracle(scene, mask, rng):
+    """`inject_outliers`' replacement draws one view at a time, in view
+    order: np.mean and np.cov (ddof=1) of the view's inliers, a Cholesky
+    factor (sqrt(largest eigenvalue) * I where there is none) and one
+    standard-normal block per view."""
+    xy = scene.xy.copy()
+    vi = scene.view_idx
+    for i in range(scene.num_views):
+        out_here = np.flatnonzero(mask & (vi == i))
+        if out_here.size == 0:
+            continue
+        inl = scene.xy[(vi == i) & ~mask]
+        cov = np.cov(inl, rowvar=False, ddof=1)
+        try:
+            L = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            L = np.sqrt(max(float(np.max(np.linalg.eigvalsh(cov))), 0.0)) * np.eye(2)
+        xy[out_here] = inl.mean(axis=0) + rng.standard_normal((out_here.size, 2)) @ L.T
+    return xy

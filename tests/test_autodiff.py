@@ -148,7 +148,12 @@ class TestGatv2:
     def test_bit_identical_to_composed_oracle(self, d1, n_tgt, extra, seed):
         """On random bipartite graphs (every target with an in-edge, edges
         shuffled) the fused primitive reproduces the composed attention's
-        output, weights and all four input gradients exactly."""
+        output, weights and all four input gradients to 1e-13 absolute
+        plus 1e-12 relative. They are no longer bit-identical: the fused
+        form sums each head's columns, and a's adjoint over the edges, as
+        BLAS products. Over 3000 such cases the largest deviation was
+        4.4e-15. (The name is kept so that results compare across
+        commits.)"""
         rng = np.random.default_rng(seed)
         edge_tgt = np.concatenate([np.arange(n_tgt), np.asarray(extra, dtype=np.int64) % n_tgt])
         edge_tgt = edge_tgt[rng.permutation(len(edge_tgt))]
@@ -159,7 +164,28 @@ class TestGatv2:
         fused = _gatv2_run(ad.gatv2, edge_tgt, values, weights)
         composed = _gatv2_run(gatv2_oracle, edge_tgt, values, weights)
         for got, want in zip(fused, composed):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_wide_heads_bit_identical(self, seed):
+        """With width-2 features every head is one column wide, so each
+        head sum is a single product and the fused attention equals the
+        composition (whose leaky ReLU is a masked select) bit for bit:
+        output, weights and the adjoints of src, tgt and w. Only a's
+        adjoint, a sum over the edges, rounds differently. A zero source
+        row into a zero target row gives a pre-activation of exactly 0."""
+        rng = np.random.default_rng(seed)
+        edge_tgt = rng.permutation(np.concatenate([np.arange(5), rng.integers(0, 5, 30)]))
+        values = [rng.normal(size=(35, 2)), rng.normal(size=(5, 2)),
+                  rng.normal(size=(4, 4)), rng.normal(size=(4,))]
+        values[0][0] = 0.0
+        values[1][edge_tgt[0]] = 0.0
+        weights = rng.normal(size=(5, 4))
+        fused = _gatv2_run(ad.gatv2, edge_tgt, values, weights)
+        composed = _gatv2_run(gatv2_oracle, edge_tgt, values, weights)
+        for got, want in zip(fused[:5], composed[:5]):
             np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(fused[5], composed[5], rtol=1e-13)
 
     def test_segment_checks(self):
         src, tgt = ad.constant(np.ones((2, 4))), ad.constant(np.ones((2, 4)))
@@ -249,6 +275,56 @@ class TestScatterAdd:
         got = ad.scatter_add(index, values, 11)
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, expect)
+
+
+class TestBranchFreeKernels:
+    def test_relu_matches_masked_select(self, rng):
+        """relu's value and adjoint equal those of np.where(x > 0, ., 0),
+        zeros of either sign included; no output zero is negative."""
+        x = rng.normal(size=(300, 16))
+        x[::7] = 0.0
+        x[3::7] = -0.0
+        g = rng.normal(size=x.shape)
+        t = ad.parameter(x)
+        out = ad.relu(t)
+        backward(ad.tsum(out * ad.constant(g)))
+        np.testing.assert_array_equal(out.values, np.where(x > 0, x, 0.0))
+        assert not np.signbit(out.values).any()
+        np.testing.assert_array_equal(t.grad, np.where(x > 0, g, 0.0))
+
+    def test_relu_carries_nan(self):
+        """A NaN stays NaN through relu; a masked select made it 0."""
+        out = ad.relu(ad.constant([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.values[0])
+        np.testing.assert_array_equal(out.values[1:], [0.0, 2.0])
+
+    @pytest.mark.parametrize("shape", [(7, 16), (7, 1), (1, 5), (0, 3), (4, 0)])
+    def test_unbroadcast_row_and_column_sums(self, rng, shape):
+        """The BLAS row and column sums of a 2-D adjoint agree with numpy's
+        reductions to rounding."""
+        g = rng.normal(size=shape)
+        rows, cols = shape
+        np.testing.assert_allclose(ad._unbroadcast(g, (cols,)), g.sum(axis=0), rtol=1e-14)
+        np.testing.assert_allclose(ad._unbroadcast(g, (1, cols)), g.sum(axis=0, keepdims=True),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(ad._unbroadcast(g, (rows, 1)), g.sum(axis=1, keepdims=True),
+                                   rtol=1e-14)
+
+
+class TestSegmentMax:
+    @pytest.mark.parametrize("presorted", [False, True])
+    @pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 4), (1, 2), (0, 3)])
+    def test_matches_maximum_at(self, rng, shape, presorted):
+        """Equal to np.maximum.at into -inf for 1-D and 2-D values, sorted
+        or shuffled segment indices and empty segments (4, 9 and 10)."""
+        index = rng.integers(0, 9, size=shape[0])
+        index[index == 4] = 5
+        if presorted:
+            index = np.sort(index)
+        values = rng.normal(size=shape)
+        expect = np.full((11,) + shape[1:], -np.inf)
+        np.maximum.at(expect, index, values)
+        np.testing.assert_array_equal(ad.segment_max(index, values, 11), expect)
 
 
 def assert_distinct_grads(*leaves):

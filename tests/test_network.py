@@ -203,9 +203,16 @@ class TestFusedPrimitivesInNetwork:
     @pytest.mark.parametrize("mode", ["euclidean", "projective"])
     def test_gradients_bit_identical_to_composed(self, monkeypatch, mode):
         """Forward, loss and every parameter gradient with the fused
-        attention and layer norm equal the composed forms exactly: the
-        fused nodes keep the composition's tape order, so adjoints reach
-        features with several consumers in the same order."""
+        attention and layer norm agree with the composed forms: the loss to
+        1e-12 relative, and each gradient to 1e-9 of its largest entry.
+        The fused nodes keep the composition's tape order, so adjoints
+        reach features with several consumers in the same order, and the
+        fused layer norm is still exact. The fused attention sums each
+        head's columns as a BLAS product, which rounds differently; the
+        network amplifies that to 1.5e-14 in the loss and 4.7e-11 of the
+        largest entry in the gradients (euclidean; 1.6e-16 and 5.6e-13
+        projective). (The name is kept so that results compare across
+        commits.)"""
         scene, _, _ = make_scene(num_views=4, num_points=14, visibility=0.8, seed=3,
                                  mode=mode)
         cfg = replace(TINY, mode=mode)
@@ -220,9 +227,10 @@ class TestFusedPrimitivesInNetwork:
         monkeypatch.setattr(ad, "gatv2", composed_attention)
         monkeypatch.setattr(network, "_ln_affine", composed_ln_affine)
         composed_loss, composed = run()
-        np.testing.assert_array_equal(fused_loss, composed_loss)
+        np.testing.assert_allclose(fused_loss, composed_loss, rtol=1e-12)
         for name, grad in composed.items():
-            np.testing.assert_array_equal(fused[name], grad, err_msg=name)
+            np.testing.assert_allclose(fused[name], grad, rtol=0,
+                                       atol=1e-9 * np.abs(grad).max(), err_msg=name)
 
 
 class TestGatv2Attention:
@@ -591,6 +599,16 @@ class TestForward:
               pytest.raises(LayerNumericError) as exc):
             forward(scene, params)
         assert exc.value.layer == 1
+
+    def test_nan_feature_raises(self):
+        """A NaN feature reaches the finiteness checks: relu carries it on,
+        where a masked select zeroed it and the forward went through."""
+        scene, _, _ = make_scene(num_views=3, num_points=8, seed=4)
+        params = tiny_params(seed=4)
+        params["init_view.gca.ln_src.b"].values[0] = np.nan
+        with pytest.raises(LayerNumericError) as exc:
+            forward(scene, params)
+        assert exc.value.stage == "initial updates"
 
     def test_mode_mismatch_rejected(self):
         scene, _, _ = make_scene(num_views=3, num_points=8, seed=5)

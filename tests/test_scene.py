@@ -344,6 +344,38 @@ class TestImmutability:
             scene.xy[0, 0] = 9.9
 
 
+class TestCanonicalOrder:
+    def test_sorted_input_skips_the_sort(self, monkeypatch):
+        """Observations already in strictly increasing (view, point) order
+        are taken as given, with no lexsort, and writable inputs are
+        copied; shuffled ones are sorted. Both give the same arrays."""
+        scene, _, _ = make_scene(num_views=6, num_points=30, visibility=0.7, seed=2)
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+        vi, pi, xy = scene.view_idx.copy(), scene.point_idx.copy(), scene.xy.copy()
+        same = replace(scene, view_idx=vi, point_idx=pi, xy=xy)
+        assert sorts == []
+        vi[0] = 5                                    # the caller's array stays its own
+        assert same.view_idx[0] == scene.view_idx[0]
+        assert not same.view_idx.flags.writeable
+        perm = np.random.default_rng(0).permutation(scene.num_observations)
+        shuffled = replace(scene, view_idx=scene.view_idx[perm],
+                           point_idx=scene.point_idx[perm], xy=scene.xy[perm])
+        assert sorts == [1]
+        for got in (same, shuffled):
+            np.testing.assert_array_equal(got.view_idx, scene.view_idx)
+            np.testing.assert_array_equal(got.point_idx, scene.point_idx)
+            np.testing.assert_array_equal(got.xy, scene.xy)
+
+    def test_duplicate_in_sorted_input_rejected(self):
+        scene, _, _ = make_scene(num_views=4, num_points=12, seed=1)
+        rows = np.insert(np.arange(scene.num_observations), 2, 1)
+        with pytest.raises(DuplicateObservationError):
+            replace(scene, view_idx=scene.view_idx[rows], point_idx=scene.point_idx[rows],
+                    xy=scene.xy[rows])
+
+
 class TestIncidence:
     @staticmethod
     def check(scene):

@@ -37,6 +37,7 @@ from tracksfm.train import (
 )
 
 from conftest import augment_draws, make_scene, gt_reconstruction
+from oracles import outlier_draws_oracle
 
 TINY_NET = NetConfig(layers=1, d_p=8, d_v=16, d_s=8, d_g=16)
 SCALAR_NET = NetConfig(layers=1, d_p=4, d_v=4, d_s=4, d_g=4)
@@ -262,6 +263,34 @@ class TestInjectOutliers:
             assert inl_vp.min() >= 2
             changed = np.any(out.xy != scene.xy, axis=1)
             np.testing.assert_array_equal(changed, mask)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_bit_identical_to_per_view_fit(self, seed):
+        """One standard-normal block for all outliers, fit per view in one
+        pass, equals fitting and drawing view by view, in raw pixels and
+        in normalized coordinates."""
+        raw = generate_synthetic(SceneGenConfig(num_views=10, num_points=120,
+                                                visibility=0.6), seed=seed)
+        for scene in (raw, make_scene(num_views=8, num_points=60, seed=seed)[0]):
+            _, mask = inject_outliers(scene, 0.1, np.random.default_rng(seed))
+            got = train_mod._draw_outliers(scene, mask, np.random.default_rng(seed + 50))
+            want = outlier_draws_oracle(scene, mask, np.random.default_rng(seed + 50))
+            np.testing.assert_array_equal(got, want)
+
+    def test_collinear_view_draws_like_per_view_fit(self):
+        """A view whose inliers lie on a line has no Cholesky factor and
+        draws with sqrt(largest eigenvalue) * I, as the per-view fit does."""
+        scene, _, _ = make_scene(num_views=5, num_points=30, seed=3)
+        xy = scene.xy.copy()
+        xy[scene.view_idx == 2, 1] = 0.25
+        scene = replace(scene, xy=xy)
+        mask = np.zeros(scene.num_observations, dtype=bool)
+        mask[np.flatnonzero(scene.view_idx == 2)[:3]] = True
+        mask[np.flatnonzero(scene.view_idx == 4)[:2]] = True
+        got = train_mod._draw_outliers(scene, mask, np.random.default_rng(1))
+        want = outlier_draws_oracle(scene, mask, np.random.default_rng(1))
+        np.testing.assert_array_equal(got, want)
+        assert np.all(got[mask] != scene.xy[mask])
 
     def test_saturated_views_infeasible(self):
         """Views with exactly 8 visible points are fully protected, so a
